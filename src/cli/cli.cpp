@@ -134,6 +134,18 @@ struct ModelOptions {
   uint64_t checkpoint_interval_ms = 250;
 };
 
+/// Whole file as one string, sized from the file length up front.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) throw UsageError("cannot read '" + path + "'");
+  std::string text(static_cast<size_t>(in.tellg()), '\0');
+  in.seekg(0);
+  if (!in.read(text.data(), static_cast<std::streamsize>(text.size()))) {
+    throw UsageError("cannot read '" + path + "'");
+  }
+  return text;
+}
+
 /// Arm options.analysis.checkpoint with a loaded ledger (csl/checkpoint.hpp).
 /// The job identity digests the architecture file CONTENT plus every
 /// result-affecting option, so an edited model or a different flag set
@@ -396,17 +408,16 @@ int command_check(Args& args, std::ostream& out) {
     const csl::Property property = csl::parse_property(options.property);
     csl::EngineSession& session = *analysis.session();
     const csl::StrategyCheck checked = session.check_with_strategy(property);
-    const util::JsonValue document =
-        session.strategy_document(property, checked.strategy);
     {
-      std::ofstream file(options.strategy_json);
+      // The rendered text is freed before the file is read back, so the
+      // round trip never holds two copies of a large document.
+      const std::string text = session.strategy_json(property, checked.strategy);
+      std::ofstream file(options.strategy_json, std::ios::binary);
       if (!file) throw UsageError("cannot write '" + options.strategy_json + "'");
-      file << document.dump(2) << "\n";
+      file.write(text.data(), static_cast<std::streamsize>(text.size()));
     }
-    std::ifstream file(options.strategy_json);
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    const csl::StrategyExport parsed = csl::parse_strategy_json(buffer.str());
+    const csl::StrategyExport parsed =
+        csl::parse_strategy_json(read_file(options.strategy_json));
     const double induced = session.induced_value(property, parsed);
     out << "value:   " << util::format_sig(checked.value, 10) << "\n";
     out << "induced: " << util::format_sig(induced, 10) << "\n";

@@ -971,28 +971,40 @@ double EngineSession::induced_value(const Property& property,
           "strategy/property mismatch: schedule dimensions do not match the "
           "query (steps or state count differ)");
     }
-    return mdp::induced_bounded_reachability(*q.query, strategy.schedule,
-                                             q.target, initial);
-  }
-  if (strategy.rows.size() != n) {
+  } else if (strategy.rows.size() != n) {
     throw PropertyError(
         "strategy/property mismatch: rows cover " +
         std::to_string(strategy.rows.size()) + " states, the query has " +
         std::to_string(n));
   }
-  const std::vector<double> induced = mdp::induced_reachability(
-      mdp::induced_chain(*q.query, strategy.rows), q.target);
-  return induced[initial];
+  try {
+    if (strategy.bounded) {
+      return mdp::induced_bounded_reachability(*q.query, strategy.schedule,
+                                               q.target, initial);
+    }
+    const std::vector<double> induced = mdp::induced_reachability(
+        mdp::induced_chain(*q.query, strategy.rows), q.target);
+    return induced[initial];
+  } catch (const std::invalid_argument& e) {
+    // A chosen row outside its state's action range (e.g. from an edited
+    // document).
+    throw PropertyError(std::string("strategy/property mismatch: ") + e.what());
+  }
+}
+
+std::string EngineSession::strategy_json(const Property& property,
+                                         const StrategyExport& strategy) {
+  Stages& stages = prepare();
+  if (!stages.space->is_mdp()) {
+    throw PropertyError("strategy export requires an mdp model");
+  }
+  MdpReachQuery q = mdp_reach_query(stages, property);
+  return write_strategy_json(strategy, *stages.space, *q.query, q.target);
 }
 
 util::JsonValue EngineSession::strategy_document(const Property& property,
                                                  const StrategyExport& strategy) {
-  Stages& stages = prepare();
-  if (!stages.space->is_mdp()) {
-    throw PropertyError("strategy_document requires an mdp model");
-  }
-  MdpReachQuery q = mdp_reach_query(stages, property);
-  return strategy_json_value(strategy, *stages.space, *q.query, q.target);
+  return util::JsonValue::parse(strategy_json(property, strategy));
 }
 
 }  // namespace autosec::csl

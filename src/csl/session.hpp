@@ -41,6 +41,7 @@
 #include "mdp/value_iteration.hpp"
 #include "symbolic/explorer.hpp"
 #include "symbolic/model.hpp"
+#include "util/json.hpp"
 
 namespace autosec::csl {
 
@@ -160,11 +161,17 @@ class EngineSession {
 
   /// Value of `strategy` (e.g. one parsed back from its JSON document) under
   /// `property`, computed on the chain the strategy induces. The round-trip
-  /// validation path of --strategy-json.
+  /// validation path of --strategy-json. A strategy whose dimensions or rows
+  /// do not fit the query (a row out of range, or one belonging to another
+  /// state) throws PropertyError.
   double induced_value(const Property& property, const StrategyExport& strategy);
 
-  /// Version-1 JSON document of an exported strategy, rendered against this
+  /// Version-1 JSON text of an exported strategy, streamed against this
   /// session's state space (action labels, state valuations, attack path).
+  /// What --strategy-json writes.
+  std::string strategy_json(const Property& property, const StrategyExport& strategy);
+  /// The same document as a tree (the parse of strategy_json), for callers
+  /// that embed it in a larger document, like serve's check envelope.
   util::JsonValue strategy_document(const Property& property,
                                     const StrategyExport& strategy);
 

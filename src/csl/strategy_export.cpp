@@ -1,15 +1,17 @@
 #include "csl/strategy_export.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "csl/property.hpp"
+#include "util/json.hpp"
 
 namespace autosec::csl {
 
 namespace {
 
+using util::JsonReader;
 using util::JsonValue;
+using util::JsonWriter;
 
 /// Chosen row of `state` after `elapsed` steps, or -1 when the scheduler is
 /// indifferent (frozen zero/one states, exhausted horizon).
@@ -78,115 +80,216 @@ JsonValue attack_path(const StrategyExport& strategy,
   return path;
 }
 
-JsonValue rows_array(const std::vector<int32_t>& rows) {
-  JsonValue out = JsonValue::array();
-  for (const int32_t row : rows) out.push_back(JsonValue::number(static_cast<int64_t>(row)));
-  return out;
+void write_rows(JsonWriter& writer, const std::vector<int32_t>& rows) {
+  writer.begin_array();
+  for (const int32_t row : rows) writer.value(static_cast<int64_t>(row));
+  writer.end_array();
 }
 
-std::vector<int32_t> parse_rows(const JsonValue& value, const char* what) {
-  if (!value.is_array()) {
-    throw PropertyError(std::string("strategy document: ") + what +
-                        " must be an array of row indices");
+// --- decoding -------------------------------------------------------------
+//
+// The decoder scans the whole document before judging any member, keeping
+// the last occurrence of each (a tree lookup's semantics), so a syntax error
+// anywhere wins over a content error. Content faults are therefore recorded
+// as messages, never thrown mid-scan. A member of the wrong kind reads as
+// its fallback, like JsonValue's typed member conveniences.
+
+int64_t integer_or(JsonReader& reader, int64_t fallback) {
+  if (reader.peek() != JsonValue::Kind::kNumber) {
+    reader.skip_value();
+    return fallback;
   }
-  std::vector<int32_t> rows;
-  rows.reserve(value.size());
-  for (size_t i = 0; i < value.size(); ++i) {
-    const JsonValue& entry = value.at(i);
-    if (!entry.is_integer()) {
-      throw PropertyError(std::string("strategy document: ") + what +
-                          " entries must be integers");
-    }
-    const int64_t row = entry.as_integer();
-    if (row < -1 || row > std::numeric_limits<int32_t>::max()) {
-      throw PropertyError(std::string("strategy document: ") + what +
-                          " entry out of range");
-    }
-    rows.push_back(static_cast<int32_t>(row));
+  const util::JsonNumber number = reader.read_number();
+  return number.integral ? number.integer : fallback;
+}
+
+double number_or(JsonReader& reader, double fallback) {
+  if (reader.peek() != JsonValue::Kind::kNumber) {
+    reader.skip_value();
+    return fallback;
   }
-  return rows;
+  return reader.read_number().value;
+}
+
+bool bool_or(JsonReader& reader, bool fallback) {
+  if (reader.peek() != JsonValue::Kind::kBool) {
+    reader.skip_value();
+    return fallback;
+  }
+  return reader.read_bool();
+}
+
+std::string string_or(JsonReader& reader, std::string fallback) {
+  if (reader.peek() != JsonValue::Kind::kString) {
+    reader.skip_value();
+    return fallback;
+  }
+  return reader.read_string();
+}
+
+/// Decode an array of row indices into `rows`; returns the first content
+/// fault ("" when none).
+std::string read_rows(JsonReader& reader, const char* what, std::vector<int32_t>& rows) {
+  rows.clear();
+  const std::string prefix = std::string("strategy document: ") + what;
+  if (reader.peek() != JsonValue::Kind::kArray) {
+    reader.skip_value();
+    return prefix + " must be an array of row indices";
+  }
+  std::string fault;
+  reader.begin_array();
+  while (reader.next_element()) {
+    if (!fault.empty() || reader.peek() != JsonValue::Kind::kNumber) {
+      reader.skip_value();
+      if (fault.empty()) fault = prefix + " entries must be integers";
+      continue;
+    }
+    const util::JsonNumber entry = reader.read_number();
+    if (!entry.integral) {
+      fault = prefix + " entries must be integers";
+    } else if (entry.integer < -1 ||
+               entry.integer > std::numeric_limits<int32_t>::max()) {
+      fault = prefix + " entry out of range";
+    } else {
+      rows.push_back(static_cast<int32_t>(entry.integer));
+    }
+  }
+  return fault;
+}
+
+/// Decode the per-step schedule; returns the first content fault in step
+/// order ("" when none).
+std::string read_schedule(JsonReader& reader,
+                          std::vector<std::vector<int32_t>>& schedule) {
+  schedule.clear();
+  if (reader.peek() != JsonValue::Kind::kArray) {
+    reader.skip_value();
+    return "strategy document: bounded strategy requires a schedule array";
+  }
+  std::string fault;
+  reader.begin_array();
+  while (reader.next_element()) {
+    if (!fault.empty()) {
+      reader.skip_value();
+      continue;
+    }
+    std::vector<int32_t> step;
+    fault = read_rows(reader, "schedule step", step);
+    if (fault.empty() && !schedule.empty() && step.size() != schedule.front().size()) {
+      fault = "strategy document: ragged schedule (steps differ in state count)";
+    }
+    schedule.push_back(std::move(step));
+  }
+  return fault;
 }
 
 }  // namespace
-
-JsonValue strategy_json_value(const StrategyExport& strategy,
-                              const symbolic::StateSpace& space,
-                              const mdp::Mdp& query_mdp,
-                              const std::vector<bool>& target) {
-  JsonValue doc = JsonValue::object();
-  doc["version"] = JsonValue::number(int64_t{1});
-  doc["model_type"] = JsonValue::string("mdp");
-  doc["property"] = JsonValue::string(strategy.property);
-  doc["direction"] = JsonValue::string(strategy.direction);
-  doc["bounded"] = JsonValue::boolean(strategy.bounded);
-  doc["value"] = JsonValue::number(strategy.value);
-  doc["induced_value"] = JsonValue::number(strategy.induced_value);
-  doc["states"] = JsonValue::number(static_cast<uint64_t>(query_mdp.state_count()));
-  if (strategy.bounded) {
-    doc["steps"] = JsonValue::number(static_cast<uint64_t>(strategy.schedule.size()));
-    JsonValue schedule = JsonValue::array();
-    for (const auto& step_rows : strategy.schedule) schedule.push_back(rows_array(step_rows));
-    doc["schedule"] = std::move(schedule);
-  } else {
-    doc["rows"] = rows_array(strategy.rows);
-  }
-  // Per-row action labels, so a human can read the rows/schedule without the
-  // model in hand. Indexed by flattened row, like the rows themselves.
-  JsonValue actions = JsonValue::array();
-  for (const std::string& label : query_mdp.action_labels) {
-    actions.push_back(JsonValue::string(label));
-  }
-  doc["actions"] = std::move(actions);
-  doc["attack_path"] = attack_path(strategy, space, query_mdp, target);
-  return doc;
-}
 
 std::string write_strategy_json(const StrategyExport& strategy,
                                 const symbolic::StateSpace& space,
                                 const mdp::Mdp& query_mdp,
                                 const std::vector<bool>& target) {
-  return strategy_json_value(strategy, space, query_mdp, target).dump(2) + "\n";
+  JsonWriter writer(2);
+  writer.begin_object();
+  writer.key("version").value(int64_t{1});
+  writer.key("model_type").value("mdp");
+  writer.key("property").value(strategy.property);
+  writer.key("direction").value(strategy.direction);
+  writer.key("bounded").value(strategy.bounded);
+  writer.key("value").value(strategy.value);
+  writer.key("induced_value").value(strategy.induced_value);
+  writer.key("states").value(static_cast<uint64_t>(query_mdp.state_count()));
+  if (strategy.bounded) {
+    writer.key("steps").value(static_cast<uint64_t>(strategy.schedule.size()));
+    writer.key("schedule").begin_array();
+    for (const std::vector<int32_t>& step_rows : strategy.schedule) {
+      write_rows(writer, step_rows);
+    }
+    writer.end_array();
+  } else {
+    writer.key("rows");
+    write_rows(writer, strategy.rows);
+  }
+  // Per-row action labels, so a human can read the rows/schedule without the
+  // model in hand. Indexed by flattened row, like the rows themselves.
+  writer.key("actions").begin_array();
+  for (const std::string& label : query_mdp.action_labels) writer.value(label);
+  writer.end_array();
+  writer.key("attack_path");
+  attack_path(strategy, space, query_mdp, target).write(writer);
+  writer.end_object();
+  std::string text = writer.take();
+  text += '\n';
+  return text;
 }
 
 StrategyExport parse_strategy_json(std::string_view text) {
-  JsonValue doc;
+  StrategyExport strategy;
+  bool is_object = false;
+  int64_t version = 0;
+  bool has_rows = false;
+  bool has_schedule = false;
+  std::vector<int32_t> rows;
+  std::vector<std::vector<int32_t>> schedule;
+  std::string rows_fault;
+  std::string schedule_fault;
   try {
-    doc = JsonValue::parse(text);
+    JsonReader reader(text);
+    is_object = reader.peek() == JsonValue::Kind::kObject;
+    if (is_object) {
+      std::string key;
+      reader.begin_object();
+      while (reader.next_key(key)) {
+        if (key == "version") {
+          version = integer_or(reader, 0);
+        } else if (key == "bounded") {
+          strategy.bounded = bool_or(reader, false);
+        } else if (key == "value") {
+          strategy.value = number_or(reader, 0.0);
+        } else if (key == "induced_value") {
+          strategy.induced_value = number_or(reader, 0.0);
+        } else if (key == "property") {
+          strategy.property = string_or(reader, "");
+        } else if (key == "direction") {
+          strategy.direction = string_or(reader, "");
+        } else if (key == "rows") {
+          has_rows = true;
+          rows_fault = read_rows(reader, "rows", rows);
+        } else if (key == "schedule") {
+          has_schedule = true;
+          schedule_fault = read_schedule(reader, schedule);
+        } else {
+          reader.skip_value();  // actions, attack_path, states, unknown members
+        }
+      }
+    } else {
+      reader.skip_value();
+    }
+    reader.finish();
   } catch (const util::JsonError& e) {
     throw PropertyError(std::string("strategy document: ") + e.what());
   }
-  if (!doc.is_object()) throw PropertyError("strategy document: expected a JSON object");
-  if (doc.int_or("version", 0) != 1) {
+  if (!is_object) throw PropertyError("strategy document: expected a JSON object");
+  if (version != 1) {
     throw PropertyError("strategy document: unsupported version (want 1)");
   }
-  StrategyExport strategy;
-  strategy.bounded = doc.bool_or("bounded", false);
-  strategy.value = doc.number_or("value", 0.0);
-  strategy.induced_value = doc.number_or("induced_value", 0.0);
-  strategy.property = doc.string_or("property", "");
-  strategy.direction = doc.string_or("direction", "");
   if (strategy.direction != "max" && strategy.direction != "min") {
     throw PropertyError("strategy document: direction must be \"max\" or \"min\"");
   }
   if (strategy.bounded) {
-    const JsonValue* schedule = doc.find("schedule");
-    if (schedule == nullptr || !schedule->is_array()) {
-      throw PropertyError("strategy document: bounded strategy requires a schedule array");
+    if (!has_schedule) {
+      throw PropertyError(
+          "strategy document: bounded strategy requires a schedule array");
     }
-    strategy.schedule.reserve(schedule->size());
-    for (size_t i = 0; i < schedule->size(); ++i) {
-      strategy.schedule.push_back(parse_rows(schedule->at(i), "schedule step"));
-      if (!strategy.schedule.empty() &&
-          strategy.schedule.back().size() != strategy.schedule.front().size()) {
-        throw PropertyError("strategy document: ragged schedule (steps differ in state count)");
-      }
-    }
+    if (!schedule_fault.empty()) throw PropertyError(schedule_fault);
+    strategy.schedule = std::move(schedule);
   } else {
-    const JsonValue* rows = doc.find("rows");
-    if (rows == nullptr) {
-      throw PropertyError("strategy document: memoryless strategy requires a rows array");
+    if (!has_rows) {
+      throw PropertyError(
+          "strategy document: memoryless strategy requires a rows array");
     }
-    strategy.rows = parse_rows(*rows, "rows");
+    if (!rows_fault.empty()) throw PropertyError(rows_fault);
+    strategy.rows = std::move(rows);
   }
   return strategy;
 }

@@ -13,7 +13,6 @@
 
 #include "mdp/mdp.hpp"
 #include "symbolic/explorer.hpp"
-#include "util/json.hpp"
 
 namespace autosec::csl {
 
@@ -41,24 +40,23 @@ struct StrategyCheck {
   StrategyExport strategy;
 };
 
-/// The version-1 document as a JSON tree: machine-readable core (rows or
-/// schedule, values, direction) plus action labels, state valuations, and the
-/// most-probable attack path from the initial state. The serve layer embeds
-/// this tree in check envelopes; write_strategy_json dumps it to text.
-util::JsonValue strategy_json_value(const StrategyExport& strategy,
-                                    const symbolic::StateSpace& space,
-                                    const mdp::Mdp& query_mdp,
-                                    const std::vector<bool>& target);
-
-/// Serialize with action labels, state valuations, and the most-probable
-/// attack path from the initial state (version-1 schema).
+/// Render the version-1 document: the machine-readable core (rows or
+/// schedule, values, direction) plus per-row action labels, state
+/// valuations, and the most-probable attack path from the initial state.
+/// The document is streamed straight into one writer — no tree of the
+/// (potentially millions of) row entries is ever built. This is the only
+/// renderer; the tree the serve layer embeds is the parse of its text.
 std::string write_strategy_json(const StrategyExport& strategy,
                                 const symbolic::StateSpace& space,
                                 const mdp::Mdp& query_mdp,
                                 const std::vector<bool>& target);
 
-/// Parse the machine-readable core (rows/schedule/values/direction) back.
-/// Throws csl::PropertyError on a malformed or wrong-version document.
+/// Parse the machine-readable core (rows/schedule/values/direction) back,
+/// decoding row indices straight into their vectors with a pull reader;
+/// everything else is validated and skipped. As in a tree lookup, the last
+/// of duplicate members wins and a syntax error anywhere takes precedence
+/// over a content error. Throws csl::PropertyError on a malformed or
+/// wrong-version document.
 StrategyExport parse_strategy_json(std::string_view text);
 
 }  // namespace autosec::csl

@@ -174,6 +174,11 @@ double induced_bounded_reachability(const Mdp& mdp,
                                     const std::vector<std::vector<int32_t>>& schedule,
                                     const std::vector<bool>& target, size_t initial) {
   const size_t states = mdp.state_count();
+  for (const std::vector<int32_t>& slot : schedule) {
+    if (slot.size() != states) {
+      throw std::invalid_argument("induced_bounded_reachability: schedule size mismatch");
+    }
+  }
   std::vector<double> values(states, 0.0);
   for (uint32_t s = 0; s < states; ++s) values[s] = target[s] ? 1.0 : 0.0;
   std::vector<double> next(states, 0.0);
@@ -187,7 +192,16 @@ double induced_bounded_reachability(const Mdp& mdp,
         continue;
       }
       const int32_t row = slot[s];
-      next[s] = row < 0 ? values[s] : row_value(mdp, static_cast<uint32_t>(row), values);
+      if (row < 0) {
+        next[s] = values[s];
+        continue;
+      }
+      const auto [first, last] = mdp.actions_of(s);
+      if (static_cast<uint32_t>(row) < first || static_cast<uint32_t>(row) >= last) {
+        throw std::invalid_argument(
+            "induced_bounded_reachability: row does not belong to its state");
+      }
+      next[s] = row_value(mdp, static_cast<uint32_t>(row), values);
     }
     values.swap(next);
   }

@@ -31,7 +31,8 @@ std::vector<int32_t> extract_reachability_strategy(const Mdp& mdp,
                                                    double tolerance);
 
 /// DTMC induced by a memoryless strategy: state s keeps exactly its chosen
-/// row; rows[s] == -1 becomes a probability-1 self-loop.
+/// row; rows[s] == -1 becomes a probability-1 self-loop. Throws
+/// std::invalid_argument on a size mismatch or a row outside its state.
 linalg::CsrMatrix induced_chain(const Mdp& mdp, const std::vector<int32_t>& rows);
 
 /// Pr[F target] per state of a stochastic chain (the induced DTMC), via
@@ -42,6 +43,8 @@ std::vector<double> induced_reachability(const linalg::CsrMatrix& chain,
 
 /// Pr[F<=steps target] from `initial` under a per-step schedule (as produced
 /// by bounded_reachability), by backward recursion over the elapsed step.
+/// Throws std::invalid_argument when a step does not cover every state or a
+/// chosen row does not belong to its state.
 double induced_bounded_reachability(const Mdp& mdp,
                                     const std::vector<std::vector<int32_t>>& schedule,
                                     const std::vector<bool>& target, size_t initial);

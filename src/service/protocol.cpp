@@ -136,8 +136,10 @@ ParseResult parse_request(std::string_view line) {
                           "' (analyze|check|sweep|diagnose|status)");
 
     for (const auto& [key, value] : doc.members()) {
-      if (key == "op" || key == "id") {
-        // already handled (id may be any string, op validated above)
+      if (key == "op") {
+        // validated above
+      } else if (key == "id") {
+        expect_string(value, key);  // any string; salvaged above
       } else if (key == "architecture") {
         request.architecture = expect_string(value, key);
       } else if (key == "messages") {

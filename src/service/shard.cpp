@@ -530,10 +530,14 @@ class ShardSupervisor {
     // before exiting, so a request that was actually answered is never
     // resent (and its envelope never duplicated).
     if (worker.reader.joinable()) worker.reader.join();
+    // The dead worker's fd stays in place until its replacement is up, so
+    // fd < 0 only ever means "shard permanently down". A request submitted
+    // meanwhile fails its write, keeps the old generation and is resent
+    // below, exactly like one submitted just before the death was noticed.
+    int old_fd = -1;
     {
       std::lock_guard<std::mutex> lock(worker.write_mutex);
-      if (worker.fd >= 0) ::close(worker.fd);
-      worker.fd = -1;
+      old_fd = worker.fd;
       worker.pid = -1;
     }
 
@@ -555,10 +559,16 @@ class ShardSupervisor {
       log("serve: shard " + std::to_string(index) +
           " exceeded its respawn budget; leaving it down");
     }
-    if (revived) {
+    {
       std::lock_guard<std::mutex> lock(worker.write_mutex);
-      log("serve: worker " + std::to_string(old_pid) + " died; respawned shard " +
-          std::to_string(index) + " as " + std::to_string(worker.pid));
+      if (old_fd >= 0) ::close(old_fd);
+      if (revived) {
+        log("serve: worker " + std::to_string(old_pid) +
+            " died; respawned shard " + std::to_string(index) + " as " +
+            std::to_string(worker.pid));
+      } else {
+        worker.fd = -1;
+      }
     }
     resend_pending(index, revived);
   }

@@ -11,8 +11,43 @@
 
 namespace autosec::util {
 
+namespace {
+
+/// Shortest round-trip decimal form of `value`, appended without a
+/// temporary string.
+template <typename Number>
+void append_number(std::string& out, Number value) {
+  char buffer[32];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  if (ec != std::errc()) throw std::runtime_error("json_number: to_chars failed");
+  out.append(buffer, end);
+}
+
+void append_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  append_number<double>(out, value);
+}
+
+template <typename Number>
+std::string number_text(Number value) {
+  std::string out;
+  append_number(out, value);
+  return out;
+}
+
+}  // namespace
+
 void json_escape(std::string& out, std::string_view text) {
-  for (const char c : text) {
+  // Copy runs of plain bytes in one append; escape the rest one by one.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -21,17 +56,15 @@ void json_escape(std::string& out, std::string_view text) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;  // includes UTF-8 continuation bytes
-        }
+      default: {
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        out += buffer;
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);  // includes UTF-8 bytes
 }
 
 std::string json_quote(std::string_view text) {
@@ -43,16 +76,9 @@ std::string json_quote(std::string_view text) {
   return out;
 }
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[32];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (ec != std::errc()) throw std::runtime_error("json_number: to_chars failed");
-  return std::string(buffer, end);
-}
-
-std::string json_number(int64_t value) { return std::to_string(value); }
-std::string json_number(uint64_t value) { return std::to_string(value); }
+std::string json_number(double value) { return number_text(value); }
+std::string json_number(int64_t value) { return number_text(value); }
+std::string json_number(uint64_t value) { return number_text(value); }
 
 // --- JsonWriter ---------------------------------------------------------
 
@@ -95,8 +121,9 @@ JsonWriter& JsonWriter::close(char bracket) {
 
 JsonWriter& JsonWriter::key(std::string_view name) {
   separate();
-  out_ += json_quote(name);
-  out_ += ": ";
+  out_ += '"';
+  json_escape(out_, name);
+  out_ += "\": ";
   after_key_ = true;
   return *this;
 }
@@ -115,25 +142,27 @@ JsonWriter& JsonWriter::value(bool v) {
 
 JsonWriter& JsonWriter::value(double v) {
   separate();
-  out_ += json_number(v);
+  append_number(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(int64_t v) {
   separate();
-  out_ += json_number(v);
+  append_number(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(uint64_t v) {
   separate();
-  out_ += json_number(v);
+  append_number(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   separate();
-  out_ += json_quote(v);
+  out_ += '"';
+  json_escape(out_, v);
+  out_ += '"';
   return *this;
 }
 
@@ -316,220 +345,297 @@ std::string JsonValue::dump(int indent) const {
   return writer.take();
 }
 
-// --- parser -------------------------------------------------------------
+// --- JsonReader ---------------------------------------------------------
 
 namespace {
 
 constexpr size_t kMaxDepth = 128;
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  JsonValue parse_document() {
-    JsonValue value = parse_value(0);
-    skip_whitespace();
-    if (position_ != text_.size()) fail("trailing characters after JSON value");
-    return value;
+void append_utf8(std::string& out, uint32_t code_point) {
+  if (code_point < 0x80) {
+    out += static_cast<char>(code_point);
+  } else if (code_point < 0x800) {
+    out += static_cast<char>(0xC0 | (code_point >> 6));
+    out += static_cast<char>(0x80 | (code_point & 0x3F));
+  } else if (code_point < 0x10000) {
+    out += static_cast<char>(0xE0 | (code_point >> 12));
+    out += static_cast<char>(0x80 | ((code_point >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code_point & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (code_point >> 18));
+    out += static_cast<char>(0x80 | ((code_point >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((code_point >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code_point & 0x3F));
   }
+}
 
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw JsonError("json parse error: " + message, position_);
+}  // namespace
+
+void JsonReader::fail(const std::string& message) const {
+  throw JsonError("json parse error: " + message, position_);
+}
+
+void JsonReader::skip_whitespace() {
+  while (position_ < text_.size()) {
+    const char c = text_[position_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++position_;
   }
+}
 
-  void skip_whitespace() {
-    while (position_ < text_.size()) {
-      const char c = text_[position_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+char JsonReader::start_value() {
+  if (depth_ > kMaxDepth) fail("nesting too deep");
+  skip_whitespace();
+  if (position_ >= text_.size()) fail("unexpected end of input");
+  return text_[position_];
+}
+
+bool JsonReader::consume(char expected) {
+  if (position_ < text_.size() && text_[position_] == expected) {
+    ++position_;
+    return true;
+  }
+  return false;
+}
+
+void JsonReader::expect(char expected) {
+  if (!consume(expected)) fail(std::string("expected '") + expected + "'");
+}
+
+bool JsonReader::consume_word(std::string_view word) {
+  if (text_.substr(position_, word.size()) == word) {
+    position_ += word.size();
+    return true;
+  }
+  return false;
+}
+
+JsonValue::Kind JsonReader::peek() {
+  const char c = start_value();
+  if (c == '{') return JsonValue::Kind::kObject;
+  if (c == '[') return JsonValue::Kind::kArray;
+  if (c == '"') return JsonValue::Kind::kString;
+  if (c == '-' || (c >= '0' && c <= '9')) return JsonValue::Kind::kNumber;
+  const std::string_view rest = text_.substr(position_);
+  if (rest.substr(0, 4) == "true" || rest.substr(0, 5) == "false") {
+    return JsonValue::Kind::kBool;
+  }
+  if (rest.substr(0, 4) == "null") return JsonValue::Kind::kNull;
+  fail("unexpected character");
+}
+
+void JsonReader::open(char bracket) {
+  if (start_value() != bracket) fail(std::string("expected '") + bracket + "'");
+  ++position_;
+  ++depth_;
+  first_ = true;
+}
+
+void JsonReader::begin_object() { open('{'); }
+void JsonReader::begin_array() { open('['); }
+
+bool JsonReader::next_entry(char close) {
+  if (depth_ == 0) throw std::logic_error("JsonReader: no open container");
+  skip_whitespace();
+  if (first_) {
+    first_ = false;
+    if (!consume(close)) return true;
+  } else {
+    if (consume(',')) return true;
+    expect(close);
+  }
+  --depth_;
+  return false;
+}
+
+bool JsonReader::next_key(std::string& key) {
+  if (!next_entry('}')) return false;
+  skip_whitespace();
+  if (position_ >= text_.size()) fail("unexpected end of input");
+  if (text_[position_] != '"') fail("expected object key");
+  parse_string(key);
+  skip_whitespace();
+  expect(':');
+  return true;
+}
+
+bool JsonReader::next_element() { return next_entry(']'); }
+
+void JsonReader::read_null() {
+  start_value();
+  if (!consume_word("null")) fail("expected null");
+}
+
+bool JsonReader::read_bool() {
+  start_value();
+  if (consume_word("true")) return true;
+  if (consume_word("false")) return false;
+  fail("expected a boolean");
+}
+
+JsonNumber JsonReader::read_number() {
+  const char c = start_value();
+  if (c != '-' && (c < '0' || c > '9')) fail("expected a number");
+  const size_t start = position_;
+  bool integral = true;
+  consume('-');
+  while (position_ < text_.size()) {
+    const char d = text_[position_];
+    if (d >= '0' && d <= '9') {
       ++position_;
-    }
-  }
-
-  char peek() {
-    if (position_ >= text_.size()) fail("unexpected end of input");
-    return text_[position_];
-  }
-
-  bool consume(char expected) {
-    if (position_ < text_.size() && text_[position_] == expected) {
+    } else if (d == '.' || d == 'e' || d == 'E' || d == '+' || d == '-') {
+      integral = false;
       ++position_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char expected) {
-    if (!consume(expected)) {
-      fail(std::string("expected '") + expected + "'");
-    }
-  }
-
-  bool consume_word(std::string_view word) {
-    if (text_.substr(position_, word.size()) == word) {
-      position_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue parse_value(size_t depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
-    skip_whitespace();
-    const char c = peek();
-    if (c == '{') return parse_object(depth);
-    if (c == '[') return parse_array(depth);
-    if (c == '"') return JsonValue::string(parse_string());
-    if (consume_word("true")) return JsonValue::boolean(true);
-    if (consume_word("false")) return JsonValue::boolean(false);
-    if (consume_word("null")) return JsonValue::null();
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail("unexpected character");
-  }
-
-  JsonValue parse_object(size_t depth) {
-    expect('{');
-    JsonValue out = JsonValue::object();
-    skip_whitespace();
-    if (consume('}')) return out;
-    while (true) {
-      skip_whitespace();
-      if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':');
-      out[key] = parse_value(depth + 1);
-      skip_whitespace();
-      if (consume(',')) continue;
-      expect('}');
-      return out;
-    }
-  }
-
-  JsonValue parse_array(size_t depth) {
-    expect('[');
-    JsonValue out = JsonValue::array();
-    skip_whitespace();
-    if (consume(']')) return out;
-    while (true) {
-      out.push_back(parse_value(depth + 1));
-      skip_whitespace();
-      if (consume(',')) continue;
-      expect(']');
-      return out;
-    }
-  }
-
-  void append_utf8(std::string& out, uint32_t code_point) {
-    if (code_point < 0x80) {
-      out += static_cast<char>(code_point);
-    } else if (code_point < 0x800) {
-      out += static_cast<char>(0xC0 | (code_point >> 6));
-      out += static_cast<char>(0x80 | (code_point & 0x3F));
-    } else if (code_point < 0x10000) {
-      out += static_cast<char>(0xE0 | (code_point >> 12));
-      out += static_cast<char>(0x80 | ((code_point >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code_point & 0x3F));
     } else {
-      out += static_cast<char>(0xF0 | (code_point >> 18));
-      out += static_cast<char>(0x80 | ((code_point >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code_point >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code_point & 0x3F));
+      break;
     }
   }
-
-  uint32_t parse_hex4() {
-    if (position_ + 4 > text_.size()) fail("truncated \\u escape");
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[position_++];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') value |= static_cast<uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') value |= static_cast<uint32_t>(c - 'A' + 10);
-      else fail("invalid \\u escape");
+  const std::string_view token = text_.substr(start, position_ - start);
+  if (integral) {
+    if (const std::optional<int64_t> value = parse_int(token)) {
+      return {static_cast<double>(*value), *value, true};
     }
-    return value;
+    // Out-of-range integer literal: fall through to double.
   }
+  const std::optional<double> value = parse_double(token);
+  if (!value) fail("malformed number");
+  return {*value, 0, false};
+}
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (position_ >= text_.size()) fail("unterminated string");
-      const char c = text_[position_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (position_ >= text_.size()) fail("truncated escape");
-      const char escape = text_[position_++];
-      switch (escape) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          uint32_t code_point = parse_hex4();
-          if (code_point >= 0xD800 && code_point <= 0xDBFF) {
-            // High surrogate: must pair with a following \uDC00-\uDFFF.
-            if (!consume('\\') || !consume('u')) fail("unpaired surrogate");
-            const uint32_t low = parse_hex4();
-            if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
-            code_point = 0x10000 + ((code_point - 0xD800) << 10) + (low - 0xDC00);
-          } else if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
-            fail("unpaired surrogate");
-          }
-          append_utf8(out, code_point);
-          break;
-        }
-        default: fail("unknown escape");
-      }
+std::string JsonReader::read_string() {
+  if (start_value() != '"') fail("expected a string");
+  std::string out;
+  parse_string(out);
+  return out;
+}
+
+void JsonReader::skip_value() {
+  switch (peek()) {
+    case JsonValue::Kind::kNull: read_null(); return;
+    case JsonValue::Kind::kBool: read_bool(); return;
+    case JsonValue::Kind::kNumber: read_number(); return;
+    case JsonValue::Kind::kString: {
+      std::string scratch;
+      parse_string(scratch);
+      return;
+    }
+    case JsonValue::Kind::kArray:
+      begin_array();
+      while (next_element()) skip_value();
+      return;
+    case JsonValue::Kind::kObject: {
+      std::string key;
+      begin_object();
+      while (next_key(key)) skip_value();
+      return;
     }
   }
+}
 
-  JsonValue parse_number() {
-    const size_t start = position_;
-    bool integral = true;
-    if (consume('-')) {}
+void JsonReader::finish() {
+  if (depth_ != 0) throw std::logic_error("JsonReader: finish inside a container");
+  skip_whitespace();
+  if (position_ != text_.size()) fail("trailing characters after JSON value");
+}
+
+uint32_t JsonReader::parse_hex4() {
+  if (position_ + 4 > text_.size()) fail("truncated \\u escape");
+  uint32_t value = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = text_[position_++];
+    value <<= 4;
+    if (c >= '0' && c <= '9') value |= static_cast<uint32_t>(c - '0');
+    else if (c >= 'a' && c <= 'f') value |= static_cast<uint32_t>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') value |= static_cast<uint32_t>(c - 'A' + 10);
+    else fail("invalid \\u escape");
+  }
+  return value;
+}
+
+void JsonReader::parse_string(std::string& out) {
+  out.clear();
+  expect('"');
+  while (true) {
+    // Copy the run up to the next quote, backslash or control byte at once.
+    const size_t run = position_;
     while (position_ < text_.size()) {
       const char c = text_[position_];
-      if (c >= '0' && c <= '9') {
-        ++position_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++position_;
-      } else {
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) break;
+      ++position_;
+    }
+    out.append(text_.data() + run, position_ - run);
+    if (position_ >= text_.size()) fail("unterminated string");
+    const char c = text_[position_++];
+    if (c == '"') return;
+    if (c != '\\') fail("raw control character in string");
+    if (position_ >= text_.size()) fail("truncated escape");
+    const char escape = text_[position_++];
+    switch (escape) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        uint32_t code_point = parse_hex4();
+        if (code_point >= 0xD800 && code_point <= 0xDBFF) {
+          // High surrogate: must pair with a following \uDC00-\uDFFF.
+          if (!consume('\\') || !consume('u')) fail("unpaired surrogate");
+          const uint32_t low = parse_hex4();
+          if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
+          code_point = 0x10000 + ((code_point - 0xD800) << 10) + (low - 0xDC00);
+        } else if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
+          fail("unpaired surrogate");
+        }
+        append_utf8(out, code_point);
         break;
       }
+      default: fail("unknown escape");
     }
-    const std::string_view token = text_.substr(start, position_ - start);
-    if (integral) {
-      if (const std::optional<int64_t> value = parse_int(token)) {
-        return JsonValue::number(*value);
-      }
-      // Out-of-range integer literal: fall through to double.
-    }
-    const std::optional<double> value = parse_double(token);
-    if (!value) fail("malformed number");
-    return JsonValue::number(*value);
   }
+}
 
-  std::string_view text_;
-  size_t position_ = 0;
-};
+// --- JsonValue::parse: a tree builder over the reader ---------------------
+
+namespace {
+
+JsonValue build_value(JsonReader& reader) {
+  switch (reader.peek()) {
+    case JsonValue::Kind::kNull: reader.read_null(); return JsonValue::null();
+    case JsonValue::Kind::kBool: return JsonValue::boolean(reader.read_bool());
+    case JsonValue::Kind::kNumber: {
+      const JsonNumber number = reader.read_number();
+      return number.integral ? JsonValue::number(number.integer)
+                             : JsonValue::number(number.value);
+    }
+    case JsonValue::Kind::kString: return JsonValue::string(reader.read_string());
+    case JsonValue::Kind::kArray: {
+      JsonValue out = JsonValue::array();
+      reader.begin_array();
+      while (reader.next_element()) out.push_back(build_value(reader));
+      return out;
+    }
+    case JsonValue::Kind::kObject: {
+      JsonValue out = JsonValue::object();
+      std::string key;
+      reader.begin_object();
+      while (reader.next_key(key)) out[key] = build_value(reader);
+      return out;
+    }
+  }
+  throw std::logic_error("json: corrupt kind");
+}
 
 }  // namespace
 
 JsonValue JsonValue::parse(std::string_view text) {
-  Parser parser(text);
-  return parser.parse_document();
+  JsonReader reader(text);
+  JsonValue value = build_value(reader);
+  reader.finish();
+  return value;
 }
 
 }  // namespace autosec::util

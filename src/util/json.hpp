@@ -6,9 +6,14 @@
 //  * JsonWriter — streaming writer with explicit layout control (multiline
 //    with indent, or inline subtrees), used by util::metrics for its stable
 //    human-diffable format.
+//  * JsonReader — the one strict JSON grammar: a pull tokenizer that lets a
+//    consumer walk a document (begin_object/next_key, begin_array/
+//    next_element, typed reads, validating skip_value) without building a
+//    tree, so large documents decode straight into their final containers.
 //  * JsonValue  — a small document tree (null/bool/number/string/array/
-//    object) with an insertion-order-preserving object, a strict parser, and
-//    a compact dump; the request/response currency of src/service.
+//    object) with an insertion-order-preserving object, a parser built on
+//    JsonReader, and a compact dump; the request/response currency of
+//    src/service.
 //
 // Numbers are written with std::to_chars (shortest round-trip form, locale
 // independent) and parsed with util::parse_double/parse_int; non-finite
@@ -17,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -76,7 +82,9 @@ class JsonWriter {
   JsonWriter& close(char bracket);
   /// Comma/newline/indent before the next entry of the current container.
   void separate();
-  bool inlined() const { return indent_ == 0 || (!stack_.empty() && stack_.back().inlined); }
+  bool inlined() const {
+    return indent_ == 0 || (!stack_.empty() && stack_.back().inlined);
+  }
 
   int indent_;
   std::string out_;
@@ -93,6 +101,14 @@ class JsonError : public std::runtime_error {
 
  private:
   size_t position_ = 0;
+};
+
+/// One JSON number token: integral when written without '.' or exponent and
+/// within int64 (then `value` is its double image), otherwise a double.
+struct JsonNumber {
+  double value = 0.0;
+  int64_t integer = 0;
+  bool integral = false;
 };
 
 /// A parsed or programmatically built JSON document. Objects preserve
@@ -115,7 +131,7 @@ class JsonValue {
   static JsonValue object();
 
   /// Strict parser over the whole input (trailing whitespace allowed,
-  /// anything else throws JsonError). Nesting is capped at 128 levels.
+  /// anything else throws JsonError); a tree builder over JsonReader.
   static JsonValue parse(std::string_view text);
 
   Kind kind() const { return kind_; }
@@ -166,6 +182,63 @@ class JsonValue {
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<Member> object_;
+};
+
+/// Strict pull tokenizer over a complete JSON text. The consumer drives it
+/// value by value: peek() names the kind of the next value, the typed reads
+/// and begin_object/begin_array consume it, and next_key/next_element step
+/// through containers until they report the closing bracket. skip_value()
+/// consumes any value with full validation, and finish() rejects anything
+/// but whitespace after the top-level value. Nesting is capped at 128
+/// levels. Every syntax error throws JsonError with the byte offset.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Kind of the next value, without consuming it.
+  JsonValue::Kind peek();
+
+  void begin_object();
+  /// Next member of the innermost object: true with its name in `key` (the
+  /// reader is then positioned at the member's value), false once the
+  /// closing '}' is consumed.
+  bool next_key(std::string& key);
+  void begin_array();
+  /// True when the innermost array has another element (the reader is then
+  /// positioned at it), false once the closing ']' is consumed.
+  bool next_element();
+
+  void read_null();
+  bool read_bool();
+  JsonNumber read_number();
+  std::string read_string();
+
+  /// Consume the next value, validating it exactly as a typed read would.
+  void skip_value();
+  /// Require that only whitespace follows the top-level value.
+  void finish();
+
+ private:
+  [[noreturn]] void fail(const std::string& message) const;
+  void skip_whitespace();
+  /// Depth check and whitespace skip before a value; its first byte.
+  char start_value();
+  bool consume(char expected);
+  void expect(char expected);
+  bool consume_word(std::string_view word);
+  /// Comma or closing bracket before the next entry of the innermost
+  /// container; false (and the container closed) at the closing bracket.
+  bool next_entry(char close);
+  void open(char bracket);
+  uint32_t parse_hex4();
+  void parse_string(std::string& out);
+
+  std::string_view text_;
+  size_t position_ = 0;
+  size_t depth_ = 0;  ///< open containers
+  /// The innermost container has no entry yet. Only the innermost needs the
+  /// flag: every enclosing container already holds the entry being read.
+  bool first_ = false;
 };
 
 }  // namespace autosec::util

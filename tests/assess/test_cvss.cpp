@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace autosec::assess {
 namespace {
 
@@ -30,6 +32,10 @@ struct VectorRate {
   const char* vector;
   double table2_eta;  ///< the paper's rounded value
 };
+
+// Name each case by its vector: gtest's default byte dump would embed the
+// string literal's address, which changes from run to run under ASLR.
+void PrintTo(const VectorRate& param, std::ostream* os) { *os << param.vector; }
 
 class Table2Vectors : public ::testing::TestWithParam<VectorRate> {};
 

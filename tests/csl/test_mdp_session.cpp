@@ -117,6 +117,31 @@ TEST(MdpSession, BoundedStrategyExportsASchedule) {
   EXPECT_NEAR(session.induced_value(property, parsed), checked.value, 1e-8);
 }
 
+TEST(MdpSession, InducedValueRejectsRowsOutsideTheirState) {
+  // An edited document can name any int32 row; the re-check must refuse it
+  // as a typed error instead of reading outside the matrix.
+  EngineSession session(coin_model());
+  const Property bounded = parse_property("Pmax=? [ F<=2 \"done\" ]");
+  StrategyExport strategy = session.check_with_strategy(bounded).strategy;
+  strategy.schedule[0][0] = 2000000000;  // past the last row
+  EXPECT_THROW(session.induced_value(bounded, strategy), PropertyError);
+  strategy.schedule[0][0] = 2;  // state 1's row
+  EXPECT_THROW(session.induced_value(bounded, strategy), PropertyError);
+
+  const Property unbounded = parse_property("Pmax=? [ F \"done\" ]");
+  strategy = session.check_with_strategy(unbounded).strategy;
+  strategy.rows[0] = 2000000000;
+  EXPECT_THROW(session.induced_value(unbounded, strategy), PropertyError);
+  strategy.rows[0] = 2;
+  EXPECT_THROW(session.induced_value(unbounded, strategy), PropertyError);
+
+  // The same fault arriving through a parsed document.
+  const StrategyExport parsed = parse_strategy_json(
+      R"({"version": 1, "direction": "max", "bounded": true,)"
+      R"( "schedule": [[2000000000, 2, -1], [1, 2, -1]]})");
+  EXPECT_THROW(session.induced_value(bounded, parsed), PropertyError);
+}
+
 TEST(MdpSession, MdpModelTextRoundTripsThroughTheWriter) {
   const symbolic::Model model = coin_model();
   const std::string text = symbolic::write_model(model);

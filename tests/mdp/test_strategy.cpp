@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "mdp/mdp.hpp"
@@ -80,6 +81,22 @@ TEST(Strategy, InducedBoundedReachabilityFollowsTheSchedule) {
       induced_bounded_reachability(m, bounded.schedule, kTarget, 0);
   EXPECT_NEAR(induced, bounded.values[0], 1e-12);
   EXPECT_NEAR(induced, 0.5, 1e-12);
+}
+
+TEST(Strategy, InducedBoundedReachabilityRejectsForeignRows) {
+  const Mdp m = gadget();
+  // A row index past the matrix (as an edited document could carry) and a
+  // real row that belongs to another state are both refused up front,
+  // never read.
+  EXPECT_THROW(induced_bounded_reachability(m, {{2000000000, 2, -1, -1}}, kTarget, 0),
+               std::invalid_argument);
+  EXPECT_THROW(induced_bounded_reachability(m, {{2, 2, -1, -1}}, kTarget, 0),
+               std::invalid_argument);
+  // A step that does not cover every state.
+  EXPECT_THROW(induced_bounded_reachability(m, {{1, 2, -1}}, kTarget, 0),
+               std::invalid_argument);
+  EXPECT_THROW(induced_chain(m, {2000000000, 2, -1, -1}), std::invalid_argument);
+  EXPECT_THROW(induced_chain(m, {3, 2, -1, -1}), std::invalid_argument);
 }
 
 }  // namespace

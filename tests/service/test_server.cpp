@@ -234,6 +234,13 @@ TEST(ServerTest, MalformedRequestMatchesGolden) {
   EXPECT_EQ(response, read_golden("malformed_request.json"));
 }
 
+TEST(ServerTest, NonStringIdMatchesGolden) {
+  // The schema types `id` as a string; a number is refused, not dropped.
+  Server server(deterministic_options());
+  const std::string response = server.handle_line(R"({"id": 7, "op": "status"})");
+  EXPECT_EQ(response, read_golden("non_string_id.json"));
+}
+
 TEST(ServerTest, AnalyzeResponseShapeMatchesGolden) {
   Server server(deterministic_options());
   const JsonValue response = handle(server, analyze_line("g2"));
