@@ -18,9 +18,6 @@
 #include "csl/property_parser.hpp"
 #include "ctmc/poisson.hpp"
 #include "ctmc/simulation.hpp"
-#include "linalg/gauss_seidel.hpp"
-#include "linalg/reorder.hpp"
-#include "linalg/sell_matrix.hpp"
 #include "service/server.hpp"
 #include "symbolic/dot.hpp"
 #include "symbolic/writer.hpp"
@@ -182,11 +179,7 @@ void attach_checkpoint(ModelOptions& options) {
   // Solver-plan knobs change floating-point evaluation order, so two runs
   // only promise bit-identical values when the plan matches too.
   identity += ";plan=" + std::to_string(static_cast<int>(options.analysis.plan.engine)) +
-              ',' + std::to_string(static_cast<int>(options.analysis.plan.reduction)) +
-              ',' + std::to_string(static_cast<int>(options.analysis.plan.layout)) +
-              ',' + std::to_string(static_cast<int>(options.analysis.plan.reorder)) +
-              ',' + std::to_string(static_cast<int>(options.analysis.plan.gs_ordering)) +
-              ',' + (options.analysis.plan.steady_state_detection ? '1' : '0');
+              ',' + std::to_string(static_cast<int>(options.analysis.plan.reduction));
 
   csl::CheckpointOptions checkpoint_options;
   checkpoint_options.dir = options.checkpoint_dir;
@@ -282,30 +275,6 @@ ModelOptions parse_model_options(Args& args) {
       } else {
         throw UsageError("unknown reduction '" + reduction + "' (auto|on|off)");
       }
-    } else if (*flag == "--layout") {
-      const std::string layout = args.next("--layout value");
-      const auto parsed = linalg::parse_layout_token(layout);
-      if (!parsed) {
-        throw UsageError("unknown layout '" + layout + "' (auto|csr|blocked)");
-      }
-      options.analysis.plan.layout = *parsed;
-    } else if (*flag == "--reorder") {
-      const std::string reorder = args.next("--reorder value");
-      const auto parsed = linalg::parse_reorder_token(reorder);
-      if (!parsed) {
-        throw UsageError("unknown reorder '" + reorder + "' (auto|off|rcm)");
-      }
-      options.analysis.plan.reorder = *parsed;
-    } else if (*flag == "--gs-ordering") {
-      const std::string ordering = args.next("--gs-ordering value");
-      const auto parsed = linalg::parse_gs_ordering_token(ordering);
-      if (!parsed) {
-        throw UsageError("unknown gs-ordering '" + ordering +
-                         "' (auto|direct|colored)");
-      }
-      options.analysis.plan.gs_ordering = *parsed;
-    } else if (*flag == "--no-steady-detect") {
-      options.analysis.plan.steady_state_detection = false;
     } else if (*flag == "--model-type") {
       const std::string token = args.next("--model-type value");
       const auto parsed = symbolic::parse_model_type_token(token);
@@ -765,17 +734,6 @@ void print_help(std::ostream& out) {
          "(auto: only with an explicitly requested compact engine). Reduced\n"
          "spaces answer symmetric properties exactly and reject asymmetric\n"
          "ones with a typed error.\n"
-         "\n"
-         "--layout auto|csr|blocked picks the sparse-matrix kernel for the\n"
-         "transient solver (docs/engine.md): blocked packs the uniformized\n"
-         "matrix into a SIMD-friendly SELL-C-sigma layout; results are\n"
-         "bit-identical to csr. auto (the default) picks per matrix.\n"
-         "--gs-ordering auto|direct|colored picks the Gauss-Seidel sweep:\n"
-         "colored parallelizes sweeps over a greedy graph coloring (agrees\n"
-         "with direct within solver tolerance). --reorder auto|off|rcm\n"
-         "applies reverse-Cuthill-McKee state reordering at uniformization\n"
-         "(probability-scale agreement). --no-steady-detect disables\n"
-         "steady-state truncation of long transient horizons.\n"
          "\n"
          "--model-type ctmc|mdp picks the generated model family (docs/\n"
          "engine.md#model-types): ctmc is the paper's exploit-vs-patch race,\n"

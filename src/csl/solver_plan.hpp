@@ -1,20 +1,21 @@
-// One struct for every cross-cutting solver/exploration knob. Historically
-// each feature PR grew its own field on a different stage struct (matrix
-// layout on TransientOptions, Gauss-Seidel ordering on the steady-state
-// solver, engine/reduction on ExploreOptions, ...), and every caller — CLI,
-// serve, differential harness, benches — had to know which stage owned which
-// knob. SolverPlan collapses them into one value embedded in EngineOptions;
-// apply_plan() is the single place the plan fans back out onto the stage
-// structs, and resolve_plan() is the single place the kAuto thresholds can be
-// inspected against a built state space.
+// One struct for every cross-cutting solver/exploration knob a caller can
+// set. Historically each feature PR grew its own field on a different stage
+// struct (engine/reduction on ExploreOptions, the fixpoint method on the
+// steady-state solver, ...), and every caller — CLI, serve, differential
+// harness, benches — had to know which stage owned which knob. SolverPlan
+// collapses them into one value embedded in EngineOptions; apply_plan() is
+// the single place the plan fans back out onto the stage structs, and
+// resolve_plan() is the single place the kAuto choices can be inspected
+// against a built state space.
 //
-// Wire names (CLI flags, serve request fields) are unchanged: this is an
-// internal API consolidation, not a protocol change.
+// The transient matrix layout and steady-state detection are not plan
+// knobs: the engine picks the layout from the matrix alone and always
+// detects steady state. Library callers that need a pinned reference (the
+// bit-exact and exhaustive comparisons in the tests) set
+// EngineOptions::transient directly.
 #pragma once
 
 #include "linalg/gauss_seidel.hpp"
-#include "linalg/reorder.hpp"
-#include "linalg/sell_matrix.hpp"
 #include "symbolic/explorer.hpp"
 #include "symbolic/state_store.hpp"
 
@@ -27,31 +28,21 @@ struct SolverPlan {
   symbolic::ExplorationEngine engine = symbolic::ExplorationEngine::kAuto;
   /// On-the-fly symmetry reduction policy (ctmc models only).
   symbolic::SymmetryReduction reduction = symbolic::SymmetryReduction::kAuto;
-  /// Storage layout of the uniformized matrix (CSR vs blocked SELL-C-σ).
-  linalg::MatrixLayout layout = linalg::MatrixLayout::kAuto;
-  /// Bandwidth-reducing state reordering at uniformize time.
-  linalg::StateReorder reorder = linalg::StateReorder::kAuto;
-  /// Sweep schedule of the Gauss-Seidel rungs.
-  linalg::GsOrdering gs_ordering = linalg::GsOrdering::kAuto;
   /// Fixpoint method (BiCGSTAB ladder vs pinned Gauss-Seidel/Krylov).
   linalg::FixpointMethod method = linalg::FixpointMethod::kAuto;
-  /// Transient steady-state detection (truncate converged horizons).
-  bool steady_state_detection = true;
 
   friend bool operator==(const SolverPlan&, const SolverPlan&) = default;
 };
 
 /// Fan the plan out onto the stage option structs it subsumes. The plan is
 /// authoritative: EngineSession applies it on construction, so callers set
-/// options.plan.* instead of poking transient/steady_state/explore fields.
+/// options.plan.* instead of poking the explore/steady_state fields.
 void apply_plan(const SolverPlan& plan, EngineOptions& options);
 
-/// Resolve the plan's kAuto knobs against a built state space, using the
-/// same per-size resolvers the stages call internally — the one place the
-/// auto-threshold logic can be asked "what will actually run". `layout` and
-/// `method` stay as requested when kAuto: layout resolves per matrix at
-/// uniformize time and method resolves per solve via the fallback ladder,
-/// both potentially against systems smaller than the full space.
+/// Resolve the plan's kAuto knobs against a built state space: engine and
+/// reduction come back as what the space was actually built with. `method`
+/// stays as requested when kAuto, because it resolves per solve via the
+/// fallback ladder.
 SolverPlan resolve_plan(SolverPlan plan, const symbolic::StateSpace& space);
 
 }  // namespace autosec::csl

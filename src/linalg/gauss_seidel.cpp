@@ -4,38 +4,13 @@
 #include <stdexcept>
 #include <string>
 
-#include "linalg/coloring.hpp"
 #include "linalg/krylov.hpp"
 #include "linalg/power_iteration.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
-#include "util/parallel.hpp"
 
 namespace autosec::linalg {
-
-std::string_view gs_ordering_token(GsOrdering ordering) {
-  switch (ordering) {
-    case GsOrdering::kAuto: return "auto";
-    case GsOrdering::kDirect: return "direct";
-    case GsOrdering::kColored: return "colored";
-  }
-  return "auto";
-}
-
-std::optional<GsOrdering> parse_gs_ordering_token(std::string_view text) {
-  if (text == "auto") return GsOrdering::kAuto;
-  if (text == "direct") return GsOrdering::kDirect;
-  if (text == "colored") return GsOrdering::kColored;
-  return std::nullopt;
-}
-
-GsOrdering resolve_gs_ordering(GsOrdering requested, size_t state_count) {
-  if (requested != GsOrdering::kAuto) return requested;
-  // Coloring pays one pattern pass plus a per-sweep O(n) reduction; below
-  // this the serial sweep finishes before the pool warms up.
-  return state_count >= 8192 ? GsOrdering::kColored : GsOrdering::kDirect;
-}
 
 namespace {
 
@@ -109,16 +84,6 @@ IterativeResult fixpoint_gauss_seidel(const CsrMatrix& A,
     one_minus[i] = 1.0 - rows.diagonal[i];
   }
 
-  const GsOrdering ordering = resolve_gs_ordering(options.ordering, n);
-  ColorSchedule schedule;
-  std::vector<double> delta_buffer;
-  if (ordering == GsOrdering::kColored) {
-    schedule = greedy_coloring(A);
-    delta_buffer.assign(n, 0.0);
-    util::metrics::registry().gauge("solver.gs_colors",
-                                    static_cast<double>(schedule.color_count));
-  }
-
   for (size_t iter = 1; iter <= options.max_iterations; ++iter) {
     if (options.cancelled && options.cancelled()) {
       result.cancelled = true;
@@ -127,47 +92,18 @@ IterativeResult fixpoint_gauss_seidel(const CsrMatrix& A,
     double delta = 0.0;
     double magnitude = 0.0;
     double checksum = 0.0;
-    if (ordering == GsOrdering::kColored) {
-      // Rows of one color never read each other (A_ij = 0 within a color),
-      // so the color class updates in parallel against the values the
-      // previous colors wrote — deterministic at any thread count.
-      for (uint32_t color = 0; color < schedule.color_count; ++color) {
-        const size_t begin = schedule.color_offsets[color];
-        const size_t end = schedule.color_offsets[color + 1];
-        util::parallel_for(begin, end, 512, [&](size_t lo, size_t hi) {
-          for (size_t idx = lo; idx < hi; ++idx) {
-            const size_t i = schedule.order[idx];
-            double acc = b[i];
-            for (uint32_t k = rows.offsets[i]; k < rows.offsets[i + 1]; ++k) {
-              acc += rows.vals[k] * x[rows.cols[k]];
-            }
-            const double updated = acc / one_minus[i];
-            delta_buffer[i] = std::abs(updated - x[i]);
-            x[i] = updated;
-          }
-        });
+    for (size_t i = 0; i < n; ++i) {
+      double acc = b[i];
+      for (uint32_t k = rows.offsets[i]; k < rows.offsets[i + 1]; ++k) {
+        acc += rows.vals[k] * x[rows.cols[k]];
       }
-      // Order-independent (max) and fixed-order (sum) reductions, serial so
-      // the health probe below sees the same checksum at every thread count.
-      for (size_t i = 0; i < n; ++i) {
-        delta = std::max(delta, delta_buffer[i]);
-        magnitude = std::max(magnitude, std::abs(x[i]));
-        checksum += x[i];
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        double acc = b[i];
-        for (uint32_t k = rows.offsets[i]; k < rows.offsets[i + 1]; ++k) {
-          acc += rows.vals[k] * x[rows.cols[k]];
-        }
-        const double updated = acc / one_minus[i];
-        delta = std::max(delta, std::abs(updated - x[i]));
-        magnitude = std::max(magnitude, std::abs(updated));
-        // max() never propagates NaN (both comparisons are false), so a plain
-        // sum is the per-sweep health probe: one NaN/Inf poisons it.
-        checksum += updated;
-        x[i] = updated;
-      }
+      const double updated = acc / one_minus[i];
+      delta = std::max(delta, std::abs(updated - x[i]));
+      magnitude = std::max(magnitude, std::abs(updated));
+      // max() never propagates NaN (both comparisons are false), so a plain
+      // sum is the per-sweep health probe: one NaN/Inf poisons it.
+      checksum += updated;
+      x[i] = updated;
     }
     result.iterations = iter;
     result.final_delta = delta;
@@ -296,14 +232,6 @@ IterativeResult stationary_from_transposed(const CsrMatrix& Qt,
     exit_rate[i] = -rows.diagonal[i];
   }
 
-  const GsOrdering ordering = resolve_gs_ordering(options.ordering, n);
-  ColorSchedule schedule;
-  std::vector<double> delta_buffer;
-  if (ordering == GsOrdering::kColored) {
-    schedule = greedy_coloring(Qt);
-    delta_buffer.assign(n, 0.0);
-  }
-
   result.x.assign(n, 1.0 / static_cast<double>(n));
   std::vector<double>& pi = result.x;
 
@@ -314,38 +242,15 @@ IterativeResult stationary_from_transposed(const CsrMatrix& Qt,
     }
     double delta = 0.0;
     double checksum = 0.0;
-    if (ordering == GsOrdering::kColored) {
-      for (uint32_t color = 0; color < schedule.color_count; ++color) {
-        const size_t begin = schedule.color_offsets[color];
-        const size_t end = schedule.color_offsets[color + 1];
-        util::parallel_for(begin, end, 512, [&](size_t lo, size_t hi) {
-          for (size_t idx = lo; idx < hi; ++idx) {
-            const size_t i = schedule.order[idx];
-            double inflow = 0.0;
-            for (uint32_t k = rows.offsets[i]; k < rows.offsets[i + 1]; ++k) {
-              inflow += rows.vals[k] * pi[rows.cols[k]];
-            }
-            const double updated = inflow / exit_rate[i];
-            delta_buffer[i] = std::abs(updated - pi[i]);
-            pi[i] = updated;
-          }
-        });
+    for (size_t i = 0; i < n; ++i) {
+      double inflow = 0.0;
+      for (uint32_t k = rows.offsets[i]; k < rows.offsets[i + 1]; ++k) {
+        inflow += rows.vals[k] * pi[rows.cols[k]];
       }
-      for (size_t i = 0; i < n; ++i) {
-        delta = std::max(delta, delta_buffer[i]);
-        checksum += pi[i];
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        double inflow = 0.0;
-        for (uint32_t k = rows.offsets[i]; k < rows.offsets[i + 1]; ++k) {
-          inflow += rows.vals[k] * pi[rows.cols[k]];
-        }
-        const double updated = inflow / exit_rate[i];
-        delta = std::max(delta, std::abs(updated - pi[i]));
-        checksum += updated;
-        pi[i] = updated;
-      }
+      const double updated = inflow / exit_rate[i];
+      delta = std::max(delta, std::abs(updated - pi[i]));
+      checksum += updated;
+      pi[i] = updated;
     }
     result.iterations = iter;
     result.final_delta = delta;

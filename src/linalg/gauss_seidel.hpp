@@ -7,40 +7,20 @@
 //  * stationary distributions  π·Q = 0, Σπ = 1  over an irreducible generator
 //    (solved through the transposed generator so each update only needs the
 //    incoming transitions of one state).
+//
+// Every sweep updates states 0..n-1 strictly in order, in place, so each
+// update already sees the values written earlier in the same sweep. The
+// sweep is serial and therefore bit-identical at any thread count.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "linalg/csr_matrix.hpp"
 
 namespace autosec::linalg {
-
-/// Sweep schedule of the Gauss-Seidel rungs. Direct sweeps update states
-/// 0..n-1 strictly in order — the bit-exact reference, necessarily serial.
-/// Colored sweeps group states by a greedy coloring of the matrix pattern
-/// (linalg/coloring.hpp) and update each color class on the thread pool;
-/// within a color no state reads another, so the schedule is deterministic
-/// at any thread count, but it visits states in a different order than the
-/// direct sweep and converges along a (slightly) different trajectory — the
-/// two agree within the solver tolerance, not bitwise.
-enum class GsOrdering {
-  kAuto,     ///< colored above a size threshold, direct otherwise
-  kDirect,   ///< natural-order serial sweeps
-  kColored,  ///< multicolor parallel sweeps
-};
-
-/// Canonical token ("auto" | "direct" | "colored") for CLI/serve plumbing.
-std::string_view gs_ordering_token(GsOrdering ordering);
-std::optional<GsOrdering> parse_gs_ordering_token(std::string_view text);
-
-/// Resolve kAuto against the system size — a pure function of the matrix,
-/// never of the thread count, so results stay thread-count independent.
-GsOrdering resolve_gs_ordering(GsOrdering requested, size_t state_count);
 
 /// How solve_fixpoint attacks x = A·x + b. Stationary solves
 /// (stationary_from_transposed) always use Gauss-Seidel and ignore this.
@@ -68,8 +48,6 @@ struct IterativeOptions {
   /// delta to 1e-12; the cap only exists to bound genuinely divergent solves.
   size_t max_iterations = 1000000;
   FixpointMethod method = FixpointMethod::kAuto;
-  /// Sweep schedule of the Gauss-Seidel rungs (see GsOrdering).
-  GsOrdering ordering = GsOrdering::kAuto;
   /// Cooperative cancellation hook, polled between sweeps/iterations. When
   /// it returns true the solver stops cleanly with cancelled = true (and
   /// converged = false); callers translate that into their own unwinding.

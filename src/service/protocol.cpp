@@ -215,33 +215,6 @@ ParseResult parse_request(std::string_view line) {
                            "' (auto|classic|compact)");
         }
         request.engine = *parsed;
-      } else if (key == "layout") {
-        const std::string layout = expect_string(value, key);
-        const auto parsed = linalg::parse_layout_token(layout);
-        if (!parsed) {
-          throw BadRequest("unknown layout '" + layout + "' (auto|csr|blocked)");
-        }
-        request.layout = *parsed;
-      } else if (key == "gs_ordering") {
-        const std::string ordering = expect_string(value, key);
-        const auto parsed = linalg::parse_gs_ordering_token(ordering);
-        if (!parsed) {
-          throw BadRequest("unknown gs_ordering '" + ordering +
-                           "' (auto|direct|colored)");
-        }
-        request.gs_ordering = *parsed;
-      } else if (key == "reorder") {
-        const std::string reorder = expect_string(value, key);
-        const auto parsed = linalg::parse_reorder_token(reorder);
-        if (!parsed) {
-          throw BadRequest("unknown reorder '" + reorder + "' (auto|off|rcm)");
-        }
-        request.reorder = *parsed;
-      } else if (key == "steady_state_detection") {
-        if (!value.is_bool()) {
-          throw BadRequest("field 'steady_state_detection' must be a boolean");
-        }
-        request.steady_state_detection = value.as_bool();
       } else if (key == "model_type") {
         const std::string model_type = expect_string(value, key);
         const auto parsed = symbolic::parse_model_type_token(model_type);

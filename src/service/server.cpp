@@ -113,15 +113,6 @@ std::string make_key(const char* kind, uint64_t digest, const Request& request) 
   // a cached session across engine choices.
   key += ";engine=";
   key += symbolic::engine_token(request.engine);
-  // Kernel knobs are baked into the session's solver configuration (the
-  // reorder even changes the cached uniformized matrix), so they key too.
-  key += ";layout=";
-  key += linalg::layout_token(request.layout);
-  key += ";gs=";
-  key += linalg::gs_ordering_token(request.gs_ordering);
-  key += ";reorder=";
-  key += linalg::reorder_token(request.reorder);
-  if (!request.steady_state_detection) key += ";ssd=off";
   // The model family changes the transformed model entirely — a cached ctmc
   // session must never answer an mdp request. Suffix only when non-default so
   // every pre-existing ctmc key is unchanged.
@@ -185,10 +176,6 @@ automotive::AnalysisOptions engine_options(
   options.constant_overrides = request.overrides;
   options.model_type = request.model_type;
   if (request.solver) options.plan.method = *request.solver;
-  options.plan.gs_ordering = request.gs_ordering;
-  options.plan.layout = request.layout;
-  options.plan.reorder = request.reorder;
-  options.plan.steady_state_detection = request.steady_state_detection;
   options.plan.engine = request.engine;
   options.cancel = std::move(token);
   options.budget = std::move(budget);

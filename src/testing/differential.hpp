@@ -8,9 +8,7 @@
 //   solvers     Krylov (BiCGSTAB) vs pure Gauss-Seidel on every unbounded
 //               property (reachability, steady-state, reachability reward);
 //   kernels     the blocked SELL-C-σ transient kernel vs the classic CSR
-//               kernel (bit-exact by contract), multicolor Gauss-Seidel vs
-//               the direct serial sweep (solver tolerance), and RCM-reordered
-//               solves vs natural state order (oracle tolerance);
+//               kernel (bit-exact by contract);
 //   lumping     lumped-quotient checking vs the full-space engine;
 //   parallel    the whole property batch at 1 thread vs N threads, required
 //               to agree bit-for-bit (the engine's determinism contract);

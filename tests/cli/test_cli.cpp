@@ -6,6 +6,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "automotive/archfile.hpp"
 #include "automotive/casestudy.hpp"
@@ -67,6 +69,25 @@ TEST_F(CliFixture, UnknownCommandFails) {
   const Result result = run({"frobnicate"});
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.err.find("unknown command"), std::string::npos);
+}
+
+TEST_F(CliFixture, RemovedSolverKernelFlagsAreUsageErrors) {
+  // The solver kernel is not user-selectable; a script still passing one of
+  // the old kernel flags must fail loudly, not run with the flag ignored.
+  const std::vector<std::vector<std::string>> removed = {
+      {"--layout", "blocked"},
+      {"--reorder", "rcm"},
+      {"--gs-ordering", "colored"},
+      {"--no-steady-detect"}};
+  for (const std::vector<std::string>& flag : removed) {
+    std::vector<std::string> args = {"analyze", *path_, "--nmax", "1"};
+    args.insert(args.end(), flag.begin(), flag.end());
+    const Result result = run(args);
+    EXPECT_EQ(result.exit_code, 1) << flag[0];
+    EXPECT_NE(result.err.find("unknown option '" + flag[0] + "'"),
+              std::string::npos)
+        << result.err;
+  }
 }
 
 TEST_F(CliFixture, AnalyzeAllCategories) {

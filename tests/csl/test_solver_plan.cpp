@@ -26,20 +26,18 @@ TEST(SolverPlan, ApplyFansOutOntoEveryStageStruct) {
   EngineOptions options;
   options.plan.engine = symbolic::ExplorationEngine::kCompact;
   options.plan.reduction = symbolic::SymmetryReduction::kOff;
-  options.plan.layout = linalg::MatrixLayout::kBlocked;
-  options.plan.reorder = linalg::StateReorder::kRcm;
-  options.plan.gs_ordering = linalg::GsOrdering::kColored;
   options.plan.method = linalg::FixpointMethod::kGaussSeidel;
-  options.plan.steady_state_detection = false;
+  // Transient-stage fields are not plan knobs: a pinned reference layout
+  // must survive the fan-out.
+  options.transient.layout = linalg::MatrixLayout::kCsr;
+  options.transient.steady_state_detection = false;
 
   apply_plan(options.plan, options);
   EXPECT_EQ(options.explore.engine, symbolic::ExplorationEngine::kCompact);
   EXPECT_EQ(options.explore.reduction, symbolic::SymmetryReduction::kOff);
-  EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kBlocked);
-  EXPECT_EQ(options.transient.reorder, linalg::StateReorder::kRcm);
-  EXPECT_FALSE(options.transient.steady_state_detection);
-  EXPECT_EQ(options.steady_state.solver.ordering, linalg::GsOrdering::kColored);
   EXPECT_EQ(options.steady_state.solver.method, linalg::FixpointMethod::kGaussSeidel);
+  EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kCsr);
+  EXPECT_FALSE(options.transient.steady_state_detection);
 }
 
 TEST(SolverPlan, SessionAppliesThePlanOnConstruction) {
@@ -56,18 +54,17 @@ TEST(SolverPlan, ResolveReportsTheBuiltSpace) {
   options.plan.engine = symbolic::ExplorationEngine::kClassic;
   EngineSession session(tiny_model(), options);
   const SolverPlan resolved = resolve_plan(session.options().plan, session.space());
-  // Nothing stays kAuto for the knobs the space decides: engine, reduction,
-  // reorder and gs_ordering come back as concrete choices.
+  // Nothing stays kAuto for the knobs the space decides: engine and
+  // reduction come back as concrete choices; method resolves per solve.
   EXPECT_EQ(resolved.engine, symbolic::ExplorationEngine::kClassic);
   EXPECT_NE(resolved.reduction, symbolic::SymmetryReduction::kAuto);
-  EXPECT_NE(resolved.reorder, linalg::StateReorder::kAuto);
-  EXPECT_NE(resolved.gs_ordering, linalg::GsOrdering::kAuto);
+  EXPECT_EQ(resolved.method, linalg::FixpointMethod::kAuto);
 }
 
 TEST(SolverPlan, DefaultPlansCompareEqual) {
   EXPECT_EQ(SolverPlan{}, SolverPlan{});
   SolverPlan changed;
-  changed.steady_state_detection = false;
+  changed.method = linalg::FixpointMethod::kKrylov;
   EXPECT_FALSE(changed == SolverPlan{});
 }
 

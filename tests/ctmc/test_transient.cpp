@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 
 #include "ctmc_test_helpers.hpp"
 #include "linalg/vector_ops.hpp"
+#include "util/budget.hpp"
 #include "util/failure.hpp"
 #include "util/metrics.hpp"
 
@@ -178,19 +180,63 @@ TEST(Transient, BlockedLayoutIsBitIdenticalToCsr) {
   }
 }
 
-TEST(Transient, RcmReorderAgreesWithNaturalOrder) {
+/// Heap bytes of a CSR matrix as the uniformize budget counts them.
+size_t csr_bytes(const linalg::CsrMatrix& m) {
+  return m.nonzeros() * (sizeof(double) + sizeof(uint32_t)) +
+         (m.rows() + 1) * sizeof(uint32_t);
+}
+
+TEST(Transient, UniformizeBudgetFitsTheTransposeItBuilds) {
+  // The fused build holds one Pᵀ at its peak; a small chain resolves to CSR,
+  // so no packed copy is charged either. A ceiling of exactly that many bytes
+  // must be enough, and the charge must settle to the bytes the stage keeps.
   const Ctmc chain = testing::figure3_chain();
-  TransientOptions natural;
-  natural.reorder = linalg::StateReorder::kOff;
-  TransientOptions rcm;
-  rcm.reorder = linalg::StateReorder::kRcm;
-  for (double t : {0.05, 0.5, 2.0}) {
-    const auto a = transient_distribution(chain, start_in(3, 0), t, natural);
-    const auto b = transient_distribution(chain, start_in(3, 0), t, rcm);
-    // Documented probability-scale agreement (not bit-exact: the permuted
-    // rows sum in a different order).
-    for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(a[i], b[i], 1e-12) << "t=" << t;
+  const Uniformized reference = uniformize(chain);
+  ASSERT_FALSE(reference.blocked.has_value());
+  const size_t kept = csr_bytes(reference.transposed);
+
+  TransientOptions options;
+  options.budget = std::make_shared<util::ResourceBudget>(0, kept);
+  const Uniformized built = uniformize(chain, options);
+  EXPECT_FALSE(built.blocked.has_value());
+  EXPECT_EQ(options.budget->charged_bytes(), kept);
+  EXPECT_LE(options.budget->peak_bytes(), kept);
+
+  // One byte less cannot hold Pᵀ: typed failure before the build.
+  options.budget = std::make_shared<util::ResourceBudget>(0, kept - 1);
+  try {
+    uniformize(chain, options);
+    FAIL() << "a ceiling below one Pᵀ was accepted";
+  } catch (const util::EngineFailure& failure) {
+    EXPECT_EQ(failure.code(), util::FailureCode::kMemoryBudgetExceeded);
   }
+}
+
+TEST(Transient, UniformizeBudgetSettlesToThePackedCopy) {
+  // A ring where each state feeds the next five: 128 rows, 768 nonzeros with
+  // the self-loops, large enough for kAuto to pick SELL-C-σ.
+  constexpr size_t kStates = 128;
+  linalg::CsrBuilder builder(kStates, kStates);
+  for (size_t r = 0; r < kStates; ++r) {
+    for (size_t step = 1; step <= 5; ++step) {
+      builder.add(r, (r + step) % kStates, 1.0 + static_cast<double>(step));
+    }
+  }
+  const Ctmc chain(std::move(builder).build());
+  TransientOptions options;
+  options.budget = std::make_shared<util::ResourceBudget>();
+  const Uniformized built = uniformize(chain, options);
+  ASSERT_TRUE(built.blocked.has_value());
+  EXPECT_EQ(options.budget->charged_bytes(),
+            csr_bytes(built.transposed) + built.blocked->bytes());
+
+  // Pinned to CSR, the same chain charges Pᵀ alone.
+  options.budget = std::make_shared<util::ResourceBudget>();
+  options.layout = linalg::MatrixLayout::kCsr;
+  const Uniformized plain = uniformize(chain, options);
+  EXPECT_FALSE(plain.blocked.has_value());
+  EXPECT_EQ(options.budget->charged_bytes(), csr_bytes(plain.transposed));
+  EXPECT_EQ(options.budget->peak_bytes(), csr_bytes(plain.transposed));
 }
 
 TEST(Transient, SteadyStateDetectionTruncatesLongHorizons) {

@@ -1,9 +1,5 @@
 // Property tests for the hardware-speed solve kernels: the SELL-C-σ blocked
-// layout must be bit-identical to the CSR reference at any thread count, the
-// multicolor Gauss-Seidel sweep must agree with the direct sweep within the
-// documented tolerance (and be thread-count invariant itself), and the RCM
-// reordering must be a valid permutation whose permuted matrix is exactly
-// the symmetric permutation of the original.
+// layout must be bit-identical to the CSR reference at any thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,10 +7,7 @@
 #include <random>
 #include <vector>
 
-#include "linalg/coloring.hpp"
 #include "linalg/csr_matrix.hpp"
-#include "linalg/gauss_seidel.hpp"
-#include "linalg/reorder.hpp"
 #include "linalg/sell_matrix.hpp"
 #include "util/parallel.hpp"
 
@@ -44,30 +37,6 @@ std::vector<double> random_vector(uint64_t seed, size_t n) {
   std::vector<double> v(n);
   for (double& x : v) x = value(rng);
   return v;
-}
-
-/// Substochastic matrix (row sums < 1) so Gauss-Seidel fixpoint sweeps
-/// contract; non-negative entries, irregular pattern.
-CsrMatrix random_substochastic(uint64_t seed, size_t n, double density) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> value(0.0, 1.0);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  CsrBuilder builder(n, n);
-  for (size_t r = 0; r < n; ++r) {
-    std::vector<std::pair<size_t, double>> entries;
-    double sum = 0.0;
-    for (size_t c = 0; c < n; ++c) {
-      if (coin(rng) < density) {
-        const double v = value(rng);
-        entries.emplace_back(c, v);
-        sum += v;
-      }
-    }
-    // Scale the row to a sum of 0.9 so the fixpoint iteration contracts.
-    const double scale = sum > 0.0 ? 0.9 / sum : 0.0;
-    for (const auto& [c, v] : entries) builder.add(r, c, v * scale);
-  }
-  return std::move(builder).build();
 }
 
 class ThreadCountGuard {
@@ -126,131 +95,10 @@ TEST(SellMatrix, ResolveLayoutIsAFunctionOfTheMatrixAlone) {
   EXPECT_EQ(resolve_layout(MatrixLayout::kCsr, large), MatrixLayout::kCsr);
 }
 
-TEST(Coloring, NoAdjacentRowsShareAColor) {
-  for (const uint64_t seed : {11u, 12u, 13u}) {
-    const CsrMatrix A = random_matrix(seed, 60, 60, 0.1);
-    const ColorSchedule schedule = greedy_coloring(A);
-    ASSERT_EQ(schedule.color_of.size(), A.rows());
-    ASSERT_EQ(schedule.order.size(), A.rows());
-    ASSERT_EQ(schedule.color_offsets.size(), schedule.color_count + 1);
-    // Every row appears exactly once in the order.
-    std::vector<bool> seen(A.rows(), false);
-    for (const uint32_t row : schedule.order) {
-      EXPECT_FALSE(seen[row]);
-      seen[row] = true;
-    }
-    // Neighbors in the symmetrized pattern get distinct colors.
-    const SymmetricAdjacency adjacency = symmetric_adjacency(A);
-    for (size_t i = 0; i < A.rows(); ++i) {
-      for (uint32_t k = adjacency.offsets[i]; k < adjacency.offsets[i + 1]; ++k) {
-        EXPECT_NE(schedule.color_of[i], schedule.color_of[adjacency.neighbors[k]])
-            << "rows " << i << " and " << adjacency.neighbors[k];
-      }
-    }
-  }
-}
-
-TEST(ColoredGaussSeidel, AgreesWithDirectSweepWithinTolerance) {
-  for (const uint64_t seed : {21u, 22u, 23u}) {
-    const CsrMatrix A = random_substochastic(seed, 50, 0.1);
-    const std::vector<double> b = random_vector(seed + 100, 50);
-
-    IterativeOptions direct;
-    direct.method = FixpointMethod::kGaussSeidel;
-    direct.ordering = GsOrdering::kDirect;
-    IterativeOptions colored = direct;
-    colored.ordering = GsOrdering::kColored;
-
-    const IterativeResult ref = solve_fixpoint(A, b, direct);
-    const IterativeResult alt = solve_fixpoint(A, b, colored);
-    ASSERT_TRUE(ref.converged);
-    ASSERT_TRUE(alt.converged);
-    for (size_t i = 0; i < ref.x.size(); ++i) {
-      EXPECT_NEAR(alt.x[i], ref.x[i], 1e-10) << "row " << i;
-    }
-  }
-}
-
-TEST(ColoredGaussSeidel, BitIdenticalAcrossThreadCounts) {
-  ThreadCountGuard guard;
-  const CsrMatrix A = random_substochastic(31, 80, 0.08);
-  const std::vector<double> b = random_vector(32, 80);
-  IterativeOptions colored;
-  colored.method = FixpointMethod::kGaussSeidel;
-  colored.ordering = GsOrdering::kColored;
-
-  util::set_thread_count(1);
-  const IterativeResult serial = solve_fixpoint(A, b, colored);
-  ASSERT_TRUE(serial.converged);
-  for (const size_t threads : {4u, 8u}) {
-    util::set_thread_count(threads);
-    const IterativeResult parallel = solve_fixpoint(A, b, colored);
-    ASSERT_TRUE(parallel.converged);
-    EXPECT_EQ(parallel.iterations, serial.iterations);
-    for (size_t i = 0; i < serial.x.size(); ++i) {
-      EXPECT_EQ(parallel.x[i], serial.x[i]) << "threads=" << threads;
-    }
-  }
-}
-
-TEST(Rcm, PermutationIsValidAndInvertible) {
-  for (const uint64_t seed : {41u, 42u}) {
-    const CsrMatrix A = random_matrix(seed, 40, 40, 0.08);
-    const std::vector<uint32_t> perm = rcm_permutation(A);
-    ASSERT_EQ(perm.size(), A.rows());
-    std::vector<bool> seen(A.rows(), false);
-    for (const uint32_t p : perm) {
-      ASSERT_LT(p, A.rows());
-      EXPECT_FALSE(seen[p]);
-      seen[p] = true;
-    }
-    const std::vector<uint32_t> inverse = invert_permutation(perm);
-    for (size_t i = 0; i < perm.size(); ++i) {
-      EXPECT_EQ(inverse[perm[i]], i);
-    }
-  }
-}
-
-TEST(Rcm, PermutedTransposedMatchesEntrywise) {
-  const CsrMatrix A = random_matrix(51, 30, 30, 0.12);
-  const std::vector<uint32_t> perm = rcm_permutation(A);
-  const std::vector<uint32_t> inverse = invert_permutation(perm);
-  const CsrMatrix Pt = permuted_transposed(A, inverse);
-  ASSERT_EQ(Pt.rows(), A.rows());
-  ASSERT_EQ(Pt.nonzeros(), A.nonzeros());
-  // result(inv[c], inv[r]) = A(r, c): check every entry both ways.
-  for (size_t r = 0; r < A.rows(); ++r) {
-    for (size_t c = 0; c < A.cols(); ++c) {
-      EXPECT_EQ(Pt.at(inverse[c], inverse[r]), A.at(r, c))
-          << "entry (" << r << ", " << c << ")";
-    }
-  }
-  // Empty inverse degrades to a plain transpose.
-  const CsrMatrix plain = permuted_transposed(A, {});
-  for (size_t r = 0; r < A.rows(); ++r) {
-    for (size_t c = 0; c < A.cols(); ++c) {
-      EXPECT_EQ(plain.at(c, r), A.at(r, c));
-    }
-  }
-}
-
-TEST(Rcm, PermuteVectorGathers) {
-  const std::vector<double> v = {10.0, 11.0, 12.0, 13.0};
-  const std::vector<uint32_t> perm = {2, 0, 3, 1};
-  const std::vector<double> out = permute_vector(v, perm);
-  EXPECT_EQ(out, (std::vector<double>{12.0, 10.0, 13.0, 11.0}));
-}
-
 TEST(KernelOptions, TokensRoundTrip) {
   EXPECT_EQ(parse_layout_token("blocked"), MatrixLayout::kBlocked);
   EXPECT_EQ(layout_token(MatrixLayout::kBlocked), "blocked");
   EXPECT_FALSE(parse_layout_token("fancy").has_value());
-  EXPECT_EQ(parse_gs_ordering_token("colored"), GsOrdering::kColored);
-  EXPECT_EQ(gs_ordering_token(GsOrdering::kDirect), "direct");
-  EXPECT_FALSE(parse_gs_ordering_token("zigzag").has_value());
-  EXPECT_EQ(parse_reorder_token("rcm"), StateReorder::kRcm);
-  EXPECT_EQ(reorder_token(StateReorder::kOff), "off");
-  EXPECT_FALSE(parse_reorder_token("random").has_value());
 }
 
 }  // namespace

@@ -241,6 +241,22 @@ TEST(ServerTest, NonStringIdMatchesGolden) {
   EXPECT_EQ(response, read_golden("non_string_id.json"));
 }
 
+TEST(ServerTest, RemovedRequestFieldMatchesGolden) {
+  // Retired solver-kernel fields (layout, gs_ordering, reorder,
+  // steady_state_detection) are refused as unknown, never silently ignored.
+  Server server(deterministic_options());
+  const std::string response =
+      server.handle_line(R"({"id":"r","op":"status","reorder":"rcm"})");
+  EXPECT_EQ(response, read_golden("removed_field.json"));
+  for (const char* field :
+       {"layout", "gs_ordering", "reorder", "steady_state_detection"}) {
+    const JsonValue refused = handle(
+        server, std::string(R"({"id":"r","op":"status",")") + field + R"(":null})");
+    EXPECT_EQ(refused.find("error")->string_or("message", ""),
+              std::string("unknown field '") + field + "'");
+  }
+}
+
 TEST(ServerTest, AnalyzeResponseShapeMatchesGolden) {
   Server server(deterministic_options());
   const JsonValue response = handle(server, analyze_line("g2"));

@@ -31,7 +31,6 @@ TEST(Differential, AllCheckFamiliesRun) {
        {"oracle.transient", "oracle.steady_state", "oracle.cumulative_reward",
         "oracle.instantaneous_reward", "oracle.bounded_reachability",
         "solver.krylov_vs_gauss_seidel", "solver.blocked_vs_csr",
-        "solver.colored_vs_direct_gs", "solver.rcm_vs_natural",
         "lumping.quotient_vs_full",
         "parallel.determinism", "roundtrip.model_text_fixpoint",
         "roundtrip.model_state_space", "roundtrip.arch_text_fixpoint",

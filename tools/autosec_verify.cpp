@@ -98,9 +98,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--list") {
       std::cout << "oracle     transient/steady/reward/reachability vs dense expm oracle\n"
                    "solvers    Krylov-first vs pure Gauss-Seidel fixpoint solves\n"
-                   "kernels    blocked SELL-C-sigma vs CSR transient kernel (bit-exact),\n"
-                   "           multicolor vs direct Gauss-Seidel sweeps, and\n"
-                   "           RCM-reordered vs natural-order solves\n"
+                   "kernels    blocked SELL-C-sigma vs CSR transient kernel (bit-exact)\n"
                    "lumping    lumped-quotient checking vs the full state space\n"
                    "parallel   1-thread vs N-thread batch solves (bit-exact)\n"
                    "roundtrip  writer -> parser identity for models and .arch files\n"
