@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "symbolic/explorer.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
@@ -10,19 +11,6 @@
 namespace autosec::automotive {
 
 namespace {
-
-symbolic::Model build_model(const Architecture& architecture, const std::string& message,
-                            SecurityCategory category, const AnalysisOptions& options) {
-  TransformOptions transform_options;
-  transform_options.message = message;
-  transform_options.category = category;
-  transform_options.nmax = options.nmax;
-  transform_options.literal_patch_guard = options.literal_patch_guard;
-  transform_options.guardian_requires_foothold = options.guardian_requires_foothold;
-  transform_options.include_reliability = options.include_reliability;
-  transform_options.model_type = options.model_type;
-  return transform(architecture, transform_options);
-}
 
 csl::SessionOptions session_options(const AnalysisOptions& options) {
   csl::SessionOptions session;
@@ -90,9 +78,7 @@ SecurityAnalysis::SecurityAnalysis(const Architecture& architecture,
       architecture_name_(architecture.name),
       message_(message),
       category_(category),
-      model_(build_model(architecture, message, category, options)),
-      session_(std::make_shared<csl::EngineSession>(model_, session_options(options))),
-      checker_(session_) {
+      session_(make_pair_session(architecture, message, category, options).session) {
   apply_thread_option(options_);
   session_->space();  // explore eagerly, matching the historical behaviour
 }
@@ -113,7 +99,7 @@ AnalysisResult SecurityAnalysis::result() const {
 
   const double horizon = options_.horizon_years;
   util::Stopwatch watch;
-  const std::string h = std::to_string(horizon);
+  const std::string h = util::json_number(horizon);
   const std::vector<std::string> properties = {
       "R{\"exposure\"}=? [ C<=" + h + " ]",
       "P=? [ F<=" + h + " \"violated\" ]",
@@ -130,7 +116,7 @@ AnalysisResult SecurityAnalysis::result() const {
 }
 
 double SecurityAnalysis::check(const std::string& property) const {
-  return checker_.check(property);
+  return session_->check(property);
 }
 
 AnalysisResult analyze_message(const Architecture& architecture,
@@ -233,6 +219,26 @@ BatchSession make_batch_session(const Architecture& architecture,
   return batch;
 }
 
+BatchSession make_pair_session(const Architecture& architecture,
+                               const std::string& message, SecurityCategory category,
+                               const AnalysisOptions& options) {
+  TransformOptions transform_options;
+  transform_options.message = message;
+  transform_options.category = category;
+  transform_options.nmax = options.nmax;
+  transform_options.literal_patch_guard = options.literal_patch_guard;
+  transform_options.guardian_requires_foothold = options.guardian_requires_foothold;
+  transform_options.include_reliability = options.include_reliability;
+  transform_options.model_type = options.model_type;
+  BatchSession pair;
+  pair.architecture_name = architecture.name;
+  pair.messages = {message};
+  pair.categories = {category};
+  pair.session = std::make_shared<csl::EngineSession>(
+      transform(architecture, transform_options), session_options(options));
+  return pair;
+}
+
 ArchitectureReport analyze_batch_session(BatchSession& batch,
                                          const AnalysisOptions& options) {
   apply_thread_option(options);
@@ -264,7 +270,7 @@ ArchitectureReport analyze_batch_session(BatchSession& batch,
   const csl::SessionStats before = session.stats();
 
   const double horizon = options.horizon_years;
-  const std::string h = std::to_string(horizon);
+  const std::string h = util::json_number(horizon);
   std::vector<std::string> properties;
   properties.reserve(pair_count * 4);
   for (const std::string& message : batch.messages) {

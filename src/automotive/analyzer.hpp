@@ -20,7 +20,6 @@
 
 #include "automotive/architecture.hpp"
 #include "automotive/transform.hpp"
-#include "csl/checker.hpp"
 #include "csl/session.hpp"
 
 namespace autosec::automotive {
@@ -80,9 +79,9 @@ struct ArchitectureReport {
 };
 
 /// A reusable analysis session over one (message, category) pair: the model
-/// is transformed once and handed to a csl::EngineSession, which compiles and
-/// explores it lazily and caches every stage; several properties can then be
-/// checked against it.
+/// is transformed once and handed to a csl::EngineSession (make_pair_session),
+/// which compiles and explores it and caches every stage; several properties
+/// can then be checked against it.
 class SecurityAnalysis {
  public:
   SecurityAnalysis(const Architecture& architecture, const std::string& message,
@@ -100,9 +99,7 @@ class SecurityAnalysis {
   /// reward structure "exposure" are available).
   double check(const std::string& property) const;
 
-  const symbolic::Model& model() const { return model_; }
   const symbolic::StateSpace& space() const { return session_->space(); }
-  const csl::Checker& checker() const { return checker_; }
   const std::shared_ptr<csl::EngineSession>& session() const { return session_; }
   double build_seconds() const;
 
@@ -111,9 +108,7 @@ class SecurityAnalysis {
   std::string architecture_name_;
   std::string message_;
   SecurityCategory category_;
-  symbolic::Model model_;
   std::shared_ptr<csl::EngineSession> session_;
-  csl::Checker checker_;
 };
 
 /// One-shot convenience wrapper.
@@ -142,6 +137,14 @@ BatchSession make_batch_session(
         SecurityCategory::kConfidentiality, SecurityCategory::kIntegrity,
         SecurityCategory::kAvailability},
     const std::vector<std::string>& messages = {});
+
+/// The single-pair counterpart of make_batch_session: one (message, category)
+/// model wrapped in a session, nothing compiled or explored until first use.
+/// SecurityAnalysis and the serving layer's check/sweep entries are built by
+/// it.
+BatchSession make_pair_session(const Architecture& architecture,
+                               const std::string& message, SecurityCategory category,
+                               const AnalysisOptions& options = {});
 
 /// Whole-vehicle report from a prepared batch session. `options` supplies the
 /// per-request knobs (horizon_years, constant_overrides — re-keying the

@@ -16,7 +16,6 @@
 #include "automotive/architecture.hpp"
 #include "automotive/casestudy.hpp"
 #include "automotive/transform.hpp"
-#include "csl/checker.hpp"
 #include "csl/session.hpp"
 #include "csl/property.hpp"
 #include "csl/property_parser.hpp"

@@ -399,10 +399,10 @@ int command_check(Args& args, std::ostream& out) {
   if (!options.property.empty()) {
     const csl::Property property = csl::parse_property(options.property);
     if (property.is_query()) {
-      out << util::format_sig(analysis.checker().check(property), 10) << "\n";
+      out << util::format_sig(analysis.session()->check(property), 10) << "\n";
       return 0;
     }
-    const bool satisfied = analysis.checker().satisfies(property);
+    const bool satisfied = analysis.session()->satisfies(property);
     out << (satisfied ? "true" : "false") << "\n";
     return satisfied ? 0 : 2;
   }
@@ -421,9 +421,9 @@ int command_check(Args& args, std::ostream& out) {
     const csl::Property property = csl::parse_property(text);
     std::string result;
     if (property.is_query()) {
-      result = util::format_sig(analysis.checker().check(property), 8);
+      result = util::format_sig(analysis.session()->check(property), 8);
     } else {
-      const bool satisfied = analysis.checker().satisfies(property);
+      const bool satisfied = analysis.session()->satisfies(property);
       any_violated = any_violated || !satisfied;
       result = satisfied ? "true" : "FALSE";
     }
@@ -451,8 +451,9 @@ int command_simulate(Args& args, std::ostream& out) {
       chain, static_cast<uint32_t>(analysis.space().initial_state()), violated,
       options.analysis.horizon_years, simulation);
   const double numeric =
-      analysis.checker().check("R{\"exposure\"}=? [ C<=" +
-                               std::to_string(options.analysis.horizon_years) + " ]") /
+      analysis.session()->check("R{\"exposure\"}=? [ C<=" +
+                                util::json_number(options.analysis.horizon_years) +
+                                " ]") /
       options.analysis.horizon_years;
 
   out << "statistical: " << util::format_percent(estimate.mean) << " +/- "

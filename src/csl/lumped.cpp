@@ -21,7 +21,7 @@ namespace {
 /// mirroring EngineSession::reachability_probabilities.
 std::vector<double> quotient_reachability(const ctmc::Ctmc& chain,
                                           const std::vector<bool>& target,
-                                          const CheckerOptions& options) {
+                                          const SessionOptions& options) {
   const size_t n = chain.state_count();
   const ctmc::ReachabilityClassification classes =
       ctmc::classify_reachability(chain.rates(), target);
@@ -66,10 +66,10 @@ std::vector<double> quotient_reachability(const ctmc::Ctmc& chain,
 
 LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
                                const Property& property,
-                               const CheckerOptions& options) {
+                               const SessionOptions& options) {
   // Non-owning alias: the helper only lives for this call, well inside the
   // caller-guaranteed lifetime of `space`.
-  const Checker helper(
+  EngineSession helper(
       std::shared_ptr<const symbolic::StateSpace>(&space,
                                                   [](const symbolic::StateSpace*) {}),
       options);  // used for formula resolution only
@@ -110,7 +110,7 @@ LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
   const ctmc::Ctmc& quotient = lumping.quotient;
   const std::vector<double> q_initial = lumping.aggregate_distribution(initial);
 
-  // Time bounds fold against model constants; the Checker knows how.
+  // Time bounds fold against model constants; the session knows how.
   auto time_bound = [&]() -> double { return helper.time_bound_value(property); };
   auto left_mask = [&]() { return lumping.aggregate_mask(masks.at(left_index)); };
   auto right_mask = [&]() { return lumping.aggregate_mask(masks.at(right_index)); };
@@ -120,7 +120,7 @@ LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
       const std::vector<bool> allowed = left_mask();
       const std::vector<bool> target = right_mask();
       if (property.has_time_lower_bound()) {
-        // Two-phase interval until on the quotient (see Checker::check_until).
+        // Two-phase interval until on the quotient (see EngineSession::check_until).
         Property lower_probe = property;
         lower_probe.time_bound = property.time_lower_bound;
         const double t1 = helper.time_bound_value(lower_probe);
@@ -238,7 +238,7 @@ LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
 
 LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
                                std::string_view property_text,
-                               const CheckerOptions& options) {
+                               const SessionOptions& options) {
   return check_lumped(space, parse_property(property_text), options);
 }
 

@@ -9,7 +9,7 @@
 
 #include <string_view>
 
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 #include "ctmc/lumping.hpp"
 
 namespace autosec::csl {
@@ -26,13 +26,13 @@ struct LumpedCheckResult {
 };
 
 /// Check `property` on the ordinary-lumping quotient of the state space.
-/// Equal to Checker(space).check(property) up to solver tolerances.
+/// Equal to EngineSession(space).check(property) up to solver tolerances.
 LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
                                const Property& property,
-                               const CheckerOptions& options = {});
+                               const SessionOptions& options = {});
 
 LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
                                std::string_view property_text,
-                               const CheckerOptions& options = {});
+                               const SessionOptions& options = {});
 
 }  // namespace autosec::csl

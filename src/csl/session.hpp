@@ -12,9 +12,10 @@
 // built; switching constant overrides re-keys the pipeline but keeps earlier
 // stage sets cached for when a sweep returns to a value.
 //
-// This is the single implementation path of the CSL engine: csl::Checker is
-// a thin facade over a session, and automotive::analyze_architecture batches
-// all of an architecture's message properties through one session.
+// This is the single checking API of the CSL engine: every front end (the
+// analyzer, the CLI, `autosec serve`, the differential harness) checks
+// through a session, and automotive::analyze_architecture batches all of an
+// architecture's message properties through one session.
 //
 // Thread model: check_all() fans independent property solves across the
 // process-wide pool (util::parallel_for); each solve then runs its numeric
@@ -31,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "csl/checker.hpp"
 #include "csl/engine_options.hpp"
 #include "csl/property.hpp"
 #include "csl/strategy_export.hpp"
@@ -84,9 +84,8 @@ class EngineSession {
   /// Session over a symbolic model; nothing is built until first use.
   explicit EngineSession(symbolic::Model model, SessionOptions options = {});
 
-  /// Session adopting an already-explored state space (the Checker facade
-  /// path). Compile/explore stages are pinned; constant overrides cannot be
-  /// re-keyed.
+  /// Session adopting an already-explored state space. Compile/explore
+  /// stages are pinned; constant overrides cannot be re-keyed.
   explicit EngineSession(std::shared_ptr<const symbolic::StateSpace> space,
                          SessionOptions options = {});
 

@@ -15,6 +15,7 @@
 #include <istream>
 #include <new>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -46,7 +47,8 @@ using automotive::SecurityCategory;
 using util::JsonValue;
 
 /// Client mistakes discovered after parsing (missing file, unknown message,
-/// invalid architecture); carries the structured error of the response.
+/// invalid architecture or property); carries the structured error of the
+/// response.
 class RequestError : public std::runtime_error {
  public:
   explicit RequestError(ErrorInfo info)
@@ -96,13 +98,25 @@ std::vector<SecurityCategory> grid_categories(const Request& request) {
           SecurityCategory::kAvailability};
 }
 
+/// Session-key kind prefix of an op.
+const char* key_kind(Op op) {
+  switch (op) {
+    case Op::kAnalyze: return "batch";
+    case Op::kCheck:
+    case Op::kSweep: return "single";
+    case Op::kDiagnose: return "diag";
+    case Op::kStatus: return "status";
+  }
+  return "status";
+}
+
 /// Session-cache key: architecture content digest + every knob that changes
 /// the transformed model or the solver configuration baked into the session.
 /// Constant overrides and the horizon are deliberately NOT part of the key —
 /// the session re-keys its own stage cache per override set (that is what
 /// makes sweeps cheap) and the horizon only appears in property texts.
-std::string make_key(const char* kind, uint64_t digest, const Request& request) {
-  std::string key(kind);
+std::string make_key(uint64_t digest, const Request& request) {
+  std::string key(key_kind(request.op));
   key += ':';
   key += hex64(digest);
   key += ";nmax=";
@@ -182,15 +196,29 @@ automotive::AnalysisOptions engine_options(
   return options;
 }
 
-/// Parse the architecture text, mapping parse/validation failures to
-/// bad_request (the client named a bad file, not an engine defect).
+/// Parse the architecture text and check every message name the request
+/// targets, mapping each failure to bad_request (the client named a bad file
+/// or message, not an engine defect). Runs before any transform or solve.
 automotive::Architecture parse_architecture_checked(const std::string& content,
-                                                    const std::string& path) {
+                                                    const Request& request) {
+  automotive::Architecture arch;
   try {
-    return automotive::parse_architecture(content);
+    arch = automotive::parse_architecture(content);
   } catch (const std::exception& error) {
-    bad_request("invalid architecture '" + path + "': " + error.what());
+    bad_request("invalid architecture '" + request.architecture + "': " + error.what());
   }
+  const auto require = [&](const std::string& name) {
+    if (std::none_of(arch.messages.begin(), arch.messages.end(),
+                     [&](const automotive::Message& m) { return m.name == name; })) {
+      bad_request("unknown message '" + name + "'");
+    }
+  };
+  if (request.op == Op::kAnalyze) {
+    for (const std::string& name : request.messages) require(name);
+  } else {
+    require(request.message);
+  }
+  return arch;
 }
 
 /// The "detail" object of an engine-failure envelope: only the progress
@@ -231,22 +259,116 @@ JsonValue result_to_json(const automotive::AnalysisResult& result) {
   return out;
 }
 
+csl::Property parse_property_checked(const std::string& text) {
+  try {
+    return csl::parse_property(text);
+  } catch (const std::exception& error) {
+    bad_request("invalid property '" + text + "': " + error.what());
+  }
+}
+
+/// Session-cache factory of the cached ops: the whole-vehicle batch model for
+/// analyze, one (message, category) model for check and sweep. On a cache hit
+/// it never runs, and needs not: the key carries the content digest and the
+/// message names this factory already validated.
+automotive::BatchSession build_session(const Request& request,
+                                       const std::string& content) {
+  const automotive::Architecture arch = parse_architecture_checked(content, request);
+  const automotive::AnalysisOptions options = engine_options(request, nullptr, nullptr);
+  try {
+    if (request.op == Op::kAnalyze) {
+      return automotive::make_batch_session(arch, options, grid_categories(request),
+                                            request.messages);
+    }
+    return automotive::make_pair_session(arch, request.message, request.category,
+                                         options);
+  } catch (const automotive::ArchitectureError& error) {
+    bad_request(std::string("cannot transform architecture: ") + error.what());
+  }
+}
+
+/// Re-key the session's stage cache when the override set changed; an equal
+/// set keeps the active stages.
+void rekey(csl::EngineSession& session,
+           std::vector<std::pair<std::string, symbolic::Value>> overrides) {
+  if (csl::override_cache_key(overrides) !=
+      csl::override_cache_key(session.options().constant_overrides)) {
+    session.set_constant_overrides(std::move(overrides));
+  }
+}
+
+// The engine calls of the cached ops. Each appends its fields to a result
+// that already names the architecture.
+
+void analyze_into(JsonValue& result, automotive::BatchSession& batch,
+                  const automotive::AnalysisOptions& options) {
+  const automotive::ArchitectureReport report =
+      automotive::analyze_batch_session(batch, options);
+  result["horizon_years"] = JsonValue::number(options.horizon_years);
+  JsonValue results = JsonValue::array();
+  for (const automotive::AnalysisResult& r : report.results) {
+    results.push_back(result_to_json(r));
+  }
+  result["results"] = std::move(results);
+}
+
+void check_into(JsonValue& result, csl::EngineSession& session, const Request& request,
+                const std::vector<csl::Property>& properties) {
+  std::vector<double> values;
+  std::vector<JsonValue> strategies;
+  if (request.strategy) {
+    // Strategy export solves per property (the scheduler is per-objective);
+    // properties that cannot carry one (rewards, steady state) fail the
+    // whole request with the engine's typed error.
+    for (const csl::Property& property : properties) {
+      const csl::StrategyCheck checked = session.check_with_strategy(property);
+      values.push_back(checked.value);
+      strategies.push_back(session.strategy_document(property, checked.strategy));
+    }
+  } else {
+    values = session.check_all(std::span<const csl::Property>(properties));
+  }
+  result["message"] = JsonValue::string(request.message);
+  result["category"] = JsonValue::string(automotive::category_name(request.category));
+  JsonValue rows = JsonValue::array();
+  for (size_t i = 0; i < properties.size(); ++i) {
+    JsonValue row = JsonValue::object();
+    row["property"] = JsonValue::string(request.properties[i]);
+    row["value"] = JsonValue::number(values[i]);
+    if (i < strategies.size()) row["strategy"] = std::move(strategies[i]);
+    rows.push_back(std::move(row));
+  }
+  result["properties"] = std::move(rows);
+}
+
+void sweep_into(JsonValue& result, csl::EngineSession& session, const Request& request) {
+  const double horizon = request.horizon_years;
+  const csl::Property property = csl::parse_property(
+      "R{\"exposure\"}=? [ C<=" + util::json_number(horizon) + " ]");
+  JsonValue points = JsonValue::array();
+  // The points run sequentially on the one session: each value re-keys the
+  // stage cache (a value seen before hits its cached stages), and the solves
+  // themselves parallelize inside the kernels.
+  for (const double value : request.values) {
+    std::vector<std::pair<std::string, symbolic::Value>> overrides = request.overrides;
+    overrides.emplace_back(request.constant, symbolic::Value::of(value));
+    rekey(session, std::move(overrides));
+    JsonValue point = JsonValue::object();
+    point["value"] = JsonValue::number(value);
+    point["exploitable_fraction"] = JsonValue::number(session.check(property) / horizon);
+    points.push_back(std::move(point));
+  }
+  result["message"] = JsonValue::string(request.message);
+  result["category"] = JsonValue::string(automotive::category_name(request.category));
+  result["constant"] = JsonValue::string(request.constant);
+  result["horizon_years"] = JsonValue::number(horizon);
+  result["points"] = std::move(points);
+}
+
 /// Ops whose result depends only on the request identity + architecture
 /// content — safe to replay from the disk cache. Status reports live server
 /// state and is never cached.
 bool disk_cacheable(Op op) { return op != Op::kStatus; }
-
-/// Session-key kind prefix of an op (how run_* builds its make_key).
-const char* key_kind(Op op) {
-  switch (op) {
-    case Op::kAnalyze: return "batch";
-    case Op::kCheck:
-    case Op::kSweep: return "single";
-    case Op::kDiagnose: return "diag";
-    case Op::kStatus: return "status";
-  }
-  return "status";
-}
 
 /// Disk-cache key: the session key (architecture content digest + every
 /// engine knob) extended with everything the session deliberately leaves out
@@ -257,7 +379,7 @@ const char* key_kind(Op op) {
 std::string make_disk_key(const Request& request, uint64_t digest) {
   std::string key(op_name(request.op));
   key += '|';
-  key += make_key(key_kind(request.op), digest, request);
+  key += make_key(digest, request);
   key += ";h=";
   key += util::json_number(request.horizon_years);
   key += ";ov=";
@@ -468,265 +590,78 @@ void Server::reload_watch_loop() {
   }
 }
 
-util::JsonValue Server::run_analyze(const Request& request,
-                                    RequestMetrics& metrics) {
-  const std::string content = read_file(request.architecture);
-  const uint64_t digest = fnv1a64(content);
-  const std::string key = make_key("batch", digest, request);
-  const auto token = make_token(request, effective_timeout());
-  metrics.budget = make_budget(request);
-  const auto ledger = make_ledger(request, digest, metrics);
-  const std::vector<SecurityCategory> categories = grid_categories(request);
+util::JsonValue Server::run_cached(const Request& request, const Source& source,
+                                   RequestMetrics& metrics) {
+  // Client mistakes first: property texts parse before any engine work.
+  std::vector<csl::Property> properties;
+  properties.reserve(request.properties.size());
+  for (const std::string& text : request.properties) {
+    properties.push_back(parse_property_checked(text));
+  }
 
+  const std::string key = make_key(source.digest, request);
   bool hit = false;
   const auto entry = cache_.acquire(
-      key,
-      [&] {
-        const automotive::Architecture arch =
-            parse_architecture_checked(content, request.architecture);
-        return automotive::make_batch_session(
-            arch, engine_options(request, nullptr, nullptr), categories,
-            request.messages);
-      },
-      &hit);
-
+      key, [&] { return build_session(request, source.content); }, &hit);
   std::lock_guard<std::mutex> lock(entry->mutex);
   metrics.session_cache = hit ? "hit" : "miss";
   metrics.cache_key = key;
-  automotive::AnalysisOptions analysis_options =
-      engine_options(request, token, metrics.budget);
-  analysis_options.checkpoint = ledger;
-  const automotive::ArchitectureReport report =
-      automotive::analyze_batch_session(entry->batch, analysis_options);
-  if (ledger) {
-    ledger->flush();
-    metrics.checkpoint_hits = ledger->resumed_hits();
-    metrics.checkpoint_records = ledger->size();
-  }
+  automotive::BatchSession& batch = entry->batch;
+  csl::EngineSession& session = *batch.session;
 
-  metrics.explores = report.stats.explore_count;
-  metrics.solver_fallbacks = report.stats.solver_fallbacks;
-  if (!report.stats.engine.empty()) metrics.engine = report.stats.engine;
-  if (!report.results.empty()) metrics.states = report.results.front().state_count;
-
-  JsonValue result = JsonValue::object();
-  result["architecture"] = JsonValue::string(entry->batch.architecture_name);
-  result["horizon_years"] = JsonValue::number(request.horizon_years);
-  JsonValue results = JsonValue::array();
-  for (const automotive::AnalysisResult& r : report.results) {
-    results.push_back(result_to_json(r));
-  }
-  result["results"] = std::move(results);
-  return result;
-}
-
-util::JsonValue Server::run_check(const Request& request, RequestMetrics& metrics) {
-  const std::string content = read_file(request.architecture);
-  const uint64_t digest = fnv1a64(content);
-  const std::string key = make_key("single", digest, request);
-  const auto token = make_token(request, effective_timeout());
-
-  bool hit = false;
-  const auto entry = cache_.acquire(
-      key,
-      [&] {
-        const automotive::Architecture arch =
-            parse_architecture_checked(content, request.architecture);
-        if (!request.message.empty() &&
-            std::none_of(arch.messages.begin(), arch.messages.end(),
-                         [&](const automotive::Message& m) {
-                           return m.name == request.message;
-                         })) {
-          bad_request("unknown message '" + request.message + "'");
-        }
-        automotive::TransformOptions transform_options;
-        transform_options.message = request.message;
-        transform_options.category = request.category;
-        transform_options.nmax = request.nmax;
-        transform_options.model_type = request.model_type;
-        automotive::BatchSession batch;
-        batch.architecture_name = arch.name;
-        batch.messages = {request.message};
-        batch.categories = {request.category};
-        csl::SessionOptions session_options;
-        static_cast<csl::EngineOptions&>(session_options) =
-            engine_options(request, nullptr, nullptr);
-        session_options.cancel = nullptr;
-        session_options.budget = nullptr;  // budgets are per-request, not per-entry
-        try {
-          batch.session = std::make_shared<csl::EngineSession>(
-              automotive::transform(arch, transform_options), session_options);
-        } catch (const std::exception& error) {
-          bad_request(std::string("cannot transform architecture: ") + error.what());
-        }
-        return batch;
-      },
-      &hit);
-
-  std::lock_guard<std::mutex> lock(entry->mutex);
-  metrics.session_cache = hit ? "hit" : "miss";
-  metrics.cache_key = key;
+  // Arm this request's deadline, meter and ledger on the long-lived session;
+  // the guard disarms all three on every exit, so none outlives the request.
   metrics.budget = make_budget(request);
-  csl::EngineSession& session = *entry->batch.session;
-  if (csl::override_cache_key(request.overrides) !=
-      csl::override_cache_key(session.options().constant_overrides)) {
-    session.set_constant_overrides(request.overrides);
-  }
-  session.set_cancel_token(token);
-  session.set_resource_budget(metrics.budget);
-  // Attach (or detach) this request's ledger: the session outlives requests
-  // in the cache, so a stale ledger must never linger on it.
-  const auto ledger = make_ledger(request, digest, metrics);
-  session.set_checkpoint(ledger);
+  automotive::AnalysisOptions options =
+      engine_options(request, make_token(request, effective_timeout()), metrics.budget);
+  options.checkpoint = make_ledger(request, source.digest, metrics);
+  rekey(session, options.constant_overrides);
+  session.set_cancel_token(options.cancel);
+  session.set_resource_budget(options.budget);
+  session.set_checkpoint(options.checkpoint);
+  struct Disarm {
+    csl::EngineSession& session;
+    ~Disarm() {
+      session.set_cancel_token(nullptr);
+      session.set_resource_budget(nullptr);
+      session.set_checkpoint(nullptr);
+    }
+  } disarm{session};
   const csl::SessionStats before = session.stats();
 
-  std::vector<double> values;
-  std::vector<JsonValue> strategies;
-  if (request.strategy) {
-    // Strategy export solves per property (the scheduler is per-objective);
-    // properties that cannot carry one (rewards, steady state) fail the
-    // whole request with the engine's typed error.
-    values.reserve(request.properties.size());
-    strategies.reserve(request.properties.size());
-    for (const std::string& text : request.properties) {
-      const csl::Property property = csl::parse_property(text);
-      const csl::StrategyCheck checked = session.check_with_strategy(property);
-      values.push_back(checked.value);
-      strategies.push_back(
-          session.strategy_document(property, checked.strategy));
-    }
-  } else {
-    values = session.check_all(request.properties);
-  }
-  session.set_checkpoint(nullptr);
-  if (ledger) {
-    ledger->flush();
-    metrics.checkpoint_hits = ledger->resumed_hits();
-    metrics.checkpoint_records = ledger->size();
-  }
-
-  metrics.explores = session.stats().explore_count - before.explore_count;
-  metrics.solver_fallbacks =
-      session.stats().solver_fallbacks - before.solver_fallbacks;
-  metrics.states = session.space().state_count();
-  if (!session.stats().engine.empty()) metrics.engine = session.stats().engine;
-
   JsonValue result = JsonValue::object();
-  result["architecture"] = JsonValue::string(entry->batch.architecture_name);
-  result["message"] = JsonValue::string(request.message);
-  result["category"] =
-      JsonValue::string(automotive::category_name(request.category));
-  JsonValue rows = JsonValue::array();
-  for (size_t i = 0; i < request.properties.size(); ++i) {
-    JsonValue row = JsonValue::object();
-    row["property"] = JsonValue::string(request.properties[i]);
-    row["value"] = JsonValue::number(values[i]);
-    if (i < strategies.size()) row["strategy"] = std::move(strategies[i]);
-    rows.push_back(std::move(row));
+  result["architecture"] = JsonValue::string(batch.architecture_name);
+  switch (request.op) {
+    case Op::kAnalyze: analyze_into(result, batch, options); break;
+    case Op::kCheck: check_into(result, session, request, properties); break;
+    case Op::kSweep: sweep_into(result, session, request); break;
+    case Op::kDiagnose:
+    case Op::kStatus: bad_request("op has no cached session");
   }
-  result["properties"] = std::move(rows);
+
+  if (options.checkpoint) {
+    options.checkpoint->flush();
+    metrics.checkpoint_hits = options.checkpoint->resumed_hits();
+    metrics.checkpoint_records = options.checkpoint->size();
+  }
+  const csl::SessionStats& after = session.stats();
+  metrics.explores = after.explore_count - before.explore_count;
+  metrics.solver_fallbacks = after.solver_fallbacks - before.solver_fallbacks;
+  // An empty engine means nothing was ever explored (an analyze grid without
+  // messages): report no states rather than exploring just to count them.
+  if (!after.engine.empty()) {
+    metrics.engine = after.engine;
+    metrics.states = session.space().state_count();
+  }
   return result;
 }
 
-util::JsonValue Server::run_sweep(const Request& request, RequestMetrics& metrics) {
-  const std::string content = read_file(request.architecture);
-  const uint64_t digest = fnv1a64(content);
-  const std::string key = make_key("single", digest, request);
-  const auto token = make_token(request, effective_timeout());
-
-  bool hit = false;
-  const auto entry = cache_.acquire(
-      key,
-      [&] {
-        const automotive::Architecture arch =
-            parse_architecture_checked(content, request.architecture);
-        automotive::TransformOptions transform_options;
-        transform_options.message = request.message;
-        transform_options.category = request.category;
-        transform_options.nmax = request.nmax;
-        transform_options.model_type = request.model_type;
-        automotive::BatchSession batch;
-        batch.architecture_name = arch.name;
-        batch.messages = {request.message};
-        batch.categories = {request.category};
-        csl::SessionOptions session_options;
-        static_cast<csl::EngineOptions&>(session_options) =
-            engine_options(request, nullptr, nullptr);
-        session_options.cancel = nullptr;
-        session_options.budget = nullptr;  // budgets are per-request, not per-entry
-        try {
-          batch.session = std::make_shared<csl::EngineSession>(
-              automotive::transform(arch, transform_options), session_options);
-        } catch (const std::exception& error) {
-          bad_request(std::string("cannot transform architecture: ") + error.what());
-        }
-        return batch;
-      },
-      &hit);
-
-  std::lock_guard<std::mutex> lock(entry->mutex);
-  metrics.session_cache = hit ? "hit" : "miss";
-  metrics.cache_key = key;
-  metrics.budget = make_budget(request);
-  csl::EngineSession& session = *entry->batch.session;
-  session.set_cancel_token(token);
-  session.set_resource_budget(metrics.budget);
-  const auto ledger = make_ledger(request, digest, metrics);
-  session.set_checkpoint(ledger);
-  const csl::SessionStats before = session.stats();
-
-  const double horizon = request.horizon_years;
-  const std::string property =
-      "R{\"exposure\"}=? [ C<=" + std::to_string(horizon) + " ]";
-  JsonValue points = JsonValue::array();
-  // The points run sequentially on the one session: each value re-keys the
-  // stage cache (a value seen before hits its cached stages), and the solves
-  // themselves parallelize inside the kernels.
-  for (const double value : request.values) {
-    std::vector<std::pair<std::string, symbolic::Value>> overrides =
-        request.overrides;
-    overrides.emplace_back(request.constant, symbolic::Value::of(value));
-    if (csl::override_cache_key(overrides) !=
-        csl::override_cache_key(session.options().constant_overrides)) {
-      session.set_constant_overrides(std::move(overrides));
-    }
-    JsonValue point = JsonValue::object();
-    point["value"] = JsonValue::number(value);
-    point["exploitable_fraction"] =
-        JsonValue::number(session.check(property) / horizon);
-    points.push_back(std::move(point));
-  }
-  session.set_checkpoint(nullptr);
-  if (ledger) {
-    ledger->flush();
-    metrics.checkpoint_hits = ledger->resumed_hits();
-    metrics.checkpoint_records = ledger->size();
-  }
-
-  metrics.explores = session.stats().explore_count - before.explore_count;
-  metrics.solver_fallbacks =
-      session.stats().solver_fallbacks - before.solver_fallbacks;
-  metrics.states = session.space().state_count();
-  if (!session.stats().engine.empty()) metrics.engine = session.stats().engine;
-
-  JsonValue result = JsonValue::object();
-  result["architecture"] = JsonValue::string(entry->batch.architecture_name);
-  result["message"] = JsonValue::string(request.message);
-  result["category"] =
-      JsonValue::string(automotive::category_name(request.category));
-  result["constant"] = JsonValue::string(request.constant);
-  result["horizon_years"] = JsonValue::number(horizon);
-  result["points"] = std::move(points);
-  return result;
-}
-
-util::JsonValue Server::run_diagnose(const Request& request,
+util::JsonValue Server::run_diagnose(const Request& request, const Source& source,
                                      RequestMetrics& metrics) {
   // Diagnostics perturb rate constants internally (one model per perturbed
   // value), so there is no long-lived session to reuse: session_cache "none".
-  const std::string content = read_file(request.architecture);
   const automotive::Architecture arch =
-      parse_architecture_checked(content, request.architecture);
+      parse_architecture_checked(source.content, request);
   const auto token = make_token(request, effective_timeout());
   metrics.budget = make_budget(request);
   const automotive::AnalysisOptions analysis_options =
@@ -874,12 +809,13 @@ util::JsonValue Server::run_status(const Request&, RequestMetrics&) {
   return result;
 }
 
-util::JsonValue Server::dispatch(const Request& request, RequestMetrics& metrics) {
+util::JsonValue Server::dispatch(const Request& request, const Source& source,
+                                 RequestMetrics& metrics) {
   switch (request.op) {
-    case Op::kAnalyze: return run_analyze(request, metrics);
-    case Op::kCheck: return run_check(request, metrics);
-    case Op::kSweep: return run_sweep(request, metrics);
-    case Op::kDiagnose: return run_diagnose(request, metrics);
+    case Op::kAnalyze:
+    case Op::kCheck:
+    case Op::kSweep: return run_cached(request, source, metrics);
+    case Op::kDiagnose: return run_diagnose(request, source, metrics);
     case Op::kStatus: return run_status(request, metrics);
   }
   bad_request("unhandled op");
@@ -929,12 +865,19 @@ std::string Server::handle_line(const std::string& line) {
         // Fault site: proves the dispatcher converts an allocation failure into
         // a structured oom envelope and keeps serving (autosec-verify --faults).
         if (util::fault::triggered("serve.dispatch.alloc")) throw std::bad_alloc();
+        // The architecture is read once per request: the disk key, session
+        // key, ledger identity and the session factory all derive from these
+        // bytes, so an edit racing the request cannot split them.
+        Source source;
+        if (parsed.request->op != Op::kStatus) {
+          source.content = read_file(parsed.request->architecture);
+          source.digest = fnv1a64(source.content);
+        }
         // Disk-cache probe: a hit replays the stored result without touching
         // the engine at all (explores 0 by construction).
         std::optional<std::string> disk_key;
         if (disk_cache_ && disk_cacheable(parsed.request->op)) {
-          const std::string content = read_file(parsed.request->architecture);
-          disk_key = make_disk_key(*parsed.request, fnv1a64(content));
+          disk_key = make_disk_key(*parsed.request, source.digest);
           if (const std::optional<std::string> payload =
                   disk_cache_->lookup(*disk_key)) {
             const JsonValue stored = JsonValue::parse(*payload);
@@ -950,7 +893,7 @@ std::string Server::handle_line(const std::string& line) {
           if (!result) metrics.disk_cache = "miss";
         }
         if (!result) {
-          result = dispatch(*parsed.request, metrics);
+          result = dispatch(*parsed.request, source, metrics);
           if (disk_key && result) {
             JsonValue stored = JsonValue::object();
             stored["result"] = *result;

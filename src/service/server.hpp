@@ -201,15 +201,26 @@ class Server {
     size_t checkpoint_records = 0;
   };
 
+  /// The architecture bytes of one request (read once, empty for status)
+  /// and their content digest.
+  struct Source {
+    std::string content;
+    uint64_t digest = 0;
+  };
+
   /// Engine work of one parsed request; returns the "result" payload.
   /// Throws util::Cancelled on deadline, RequestError for client mistakes
   /// discovered during dispatch, anything else maps to engine_error.
-  util::JsonValue dispatch(const Request& request, RequestMetrics& metrics);
+  util::JsonValue dispatch(const Request& request, const Source& source,
+                           RequestMetrics& metrics);
 
-  util::JsonValue run_analyze(const Request& request, RequestMetrics& metrics);
-  util::JsonValue run_check(const Request& request, RequestMetrics& metrics);
-  util::JsonValue run_sweep(const Request& request, RequestMetrics& metrics);
-  util::JsonValue run_diagnose(const Request& request, RequestMetrics& metrics);
+  /// The one request pipeline of the cached ops (analyze, check, sweep):
+  /// validate → acquire the session → arm deadline, budget and ledger →
+  /// engine call → disarm → flush the ledger and fill the metrics.
+  util::JsonValue run_cached(const Request& request, const Source& source,
+                             RequestMetrics& metrics);
+  util::JsonValue run_diagnose(const Request& request, const Source& source,
+                               RequestMetrics& metrics);
   util::JsonValue run_status(const Request& request, RequestMetrics& metrics);
 
   /// Process every complete line currently in `buffer` (leaving a trailing

@@ -202,6 +202,31 @@ TEST(Analyzer, HorizonScalesBreachProbability) {
   EXPECT_LT(p_short, p_long);
 }
 
+TEST(Analyzer, TinyHorizonIsNotRoundedInGeneratedProperties) {
+  // A horizon below 1e-6 must reach the property texts exactly, not as
+  // "0.000000": both the per-pair bundle and the batch report agree with a
+  // check written with the exact bound.
+  const Architecture arch = casestudy::architecture(1, Protection::kUnencrypted);
+  AnalysisOptions options = fast_options();
+  options.horizon_years = 1e-7;
+  const SecurityAnalysis analysis(arch, casestudy::kMessage,
+                                  SecurityCategory::kConfidentiality, options);
+  const double exposure = analysis.check("R{\"exposure\"}=? [ C<=1e-7 ]") / 1e-7;
+  const double breach = analysis.check("P=? [ F<=1e-7 \"violated\" ]");
+  ASSERT_GT(exposure, 0.0);
+  ASSERT_GT(breach, 0.0);
+
+  const AnalysisResult pair = analysis.result();
+  EXPECT_NEAR(pair.exploitable_fraction, exposure, 1e-9 * exposure);
+  EXPECT_NEAR(pair.breach_probability, breach, 1e-9 * breach);
+
+  const ArchitectureReport report = analyze_architecture_report(
+      arch, options, {SecurityCategory::kConfidentiality}, {casestudy::kMessage});
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_NEAR(report.results[0].exploitable_fraction, exposure, 1e-9 * exposure);
+  EXPECT_NEAR(report.results[0].breach_probability, breach, 1e-9 * breach);
+}
+
 
 // --- staged batch engine --------------------------------------------------
 

@@ -1,4 +1,4 @@
-// The lumped checking path must agree with the direct checker on every
+// The lumped checking path must agree with the direct session on every
 // property kind, while shrinking symmetric state spaces.
 #include "csl/lumped.hpp"
 
@@ -55,7 +55,7 @@ TEST_F(LumpedFixture, ReducesSymmetricFarmToCountChain) {
 }
 
 TEST_F(LumpedFixture, AgreesOnAllPropertyKinds) {
-  const Checker direct(std::make_shared<const symbolic::StateSpace>(space_));
+  EngineSession direct(std::make_shared<const symbolic::StateSpace>(space_));
   for (const char* property : {
            "P=? [ F<=0.5 \"all_hot\" ]",
            "P=? [ F \"all_hot\" ]",

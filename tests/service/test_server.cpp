@@ -38,6 +38,19 @@ JsonValue handle(Server& server, const std::string& line) {
   return JsonValue::parse(server.handle_line(line));
 }
 
+/// A request line of one of the cached ops on arch1: analyze over the whole
+/// grid, check and sweep on message m (one property, one sweep value, so
+/// every op explores exactly once on a cold cache).
+std::string cached_op_line(const std::string& op, const std::string& id,
+                           const std::string& extra = "") {
+  if (op == "analyze") return analyze_line(id, extra);
+  std::string line = "{\"id\": \"" + id + "\", \"op\": \"" + op +
+                     "\", \"architecture\": \"" + arch_path() + "\", \"message\": \"m\"";
+  if (op == "check") line += ", \"properties\": [\"S=? [ \\\"violated\\\" ]\"]";
+  if (op == "sweep") line += ", \"constant\": \"phi_gw\", \"values\": [8]";
+  return line + extra + "}";
+}
+
 ServerOptions deterministic_options() {
   ServerOptions options;
   options.deterministic = true;
@@ -88,27 +101,6 @@ TEST(ServerTest, EnvelopeCarriesSchemaVersionAndMetrics) {
   ASSERT_NE(response.find("result"), nullptr);
   ASSERT_NE(response.find("metrics"), nullptr);
   EXPECT_EQ(response.find("metrics")->number_or("wall_seconds", -1.0), 0.0);
-}
-
-TEST(ServerTest, RepeatedAnalyzeHitsSessionCacheWithoutReExploration) {
-  Server server(deterministic_options());
-  const JsonValue first = handle(server, analyze_line("r1"));
-  const JsonValue second = handle(server, analyze_line("r2"));
-
-  EXPECT_EQ(first.find("metrics")->string_or("session_cache", ""), "miss");
-  EXPECT_EQ(first.find("metrics")->int_or("explores", -1), 1);
-  // The repeat is answered entirely from the cached session's stages.
-  EXPECT_EQ(second.find("metrics")->string_or("session_cache", ""), "hit");
-  EXPECT_EQ(second.find("metrics")->int_or("explores", -1), 0);
-  // And returns the identical payload.
-  EXPECT_EQ(first.find("result")->dump(), second.find("result")->dump());
-
-  const JsonValue status = handle(server, R"({"op": "status"})");
-  const JsonValue* cache = status.find("result")->find("cache");
-  ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(cache->int_or("entries", -1), 1);
-  EXPECT_EQ(cache->int_or("hits", -1), 1);
-  EXPECT_EQ(cache->int_or("misses", -1), 1);
 }
 
 TEST(ServerTest, OverrideChangeReExploresButKeepsSession) {
@@ -191,18 +183,173 @@ TEST(ServerTest, CheckEvaluatesPropertiesOnCachedSingleModel) {
       "hit");
 }
 
-TEST(ServerTest, ZeroTimeoutReturnsStructuredTimeoutError) {
+// --- session-cache behaviour, identical for every op of the one pipeline.
+// Each check runs under its original ServerTest name for analyze and is
+// parameterized over the other cached ops.
+
+void expect_repeat_hits_session_cache(const std::string& op) {
+  Server server(deterministic_options());
+  const JsonValue first = handle(server, cached_op_line(op, "r1"));
+  const JsonValue second = handle(server, cached_op_line(op, "r2"));
+  ASSERT_TRUE(first.bool_or("ok", false)) << first.dump();
+
+  EXPECT_EQ(first.find("metrics")->string_or("session_cache", ""), "miss");
+  EXPECT_EQ(first.find("metrics")->int_or("explores", -1), 1);
+  // The repeat is answered entirely from the cached session's stages.
+  EXPECT_EQ(second.find("metrics")->string_or("session_cache", ""), "hit");
+  EXPECT_EQ(second.find("metrics")->int_or("explores", -1), 0);
+  // And returns the identical payload.
+  EXPECT_EQ(first.find("result")->dump(), second.find("result")->dump());
+
+  const JsonValue status = handle(server, R"({"op": "status"})");
+  const JsonValue* cache = status.find("result")->find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->int_or("entries", -1), 1);
+  EXPECT_EQ(cache->int_or("hits", -1), 1);
+  EXPECT_EQ(cache->int_or("misses", -1), 1);
+}
+
+void expect_zero_timeout_is_structured(const std::string& op) {
   Server server(deterministic_options());
   const JsonValue response =
-      handle(server, analyze_line("t1", ", \"timeout_ms\": 0"));
+      handle(server, cached_op_line(op, "t1", ", \"timeout_ms\": 0"));
   EXPECT_FALSE(response.bool_or("ok", true));
   const JsonValue* error = response.find("error");
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(error->string_or("code", ""), "timeout");
   EXPECT_EQ(error->string_or("stage", ""), "prepare");
-  // The timeout must not poison the cached session: the next request without
-  // a deadline succeeds.
-  EXPECT_TRUE(handle(server, analyze_line("t2")).bool_or("ok", false));
+  // The timeout must not poison or evict the cached session: the next
+  // request without a deadline succeeds on the same entry.
+  const JsonValue next = handle(server, cached_op_line(op, "t2"));
+  EXPECT_TRUE(next.bool_or("ok", false)) << next.dump();
+  EXPECT_EQ(next.find("metrics")->string_or("session_cache", ""), "hit");
+}
+
+void expect_budget_knobs_share_the_cache_key(const std::string& op) {
+  // A budgeted request and an unbudgeted one for the same model share one
+  // session entry: budgets bound work, they don't define the model.
+  Server server(deterministic_options());
+  ASSERT_TRUE(handle(server, cached_op_line(op, "k1")).bool_or("ok", false));
+  const JsonValue budgeted =
+      handle(server, cached_op_line(op, "k2", ", \"max_states\": 1000000"));
+  ASSERT_TRUE(budgeted.bool_or("ok", false)) << budgeted.dump();
+  EXPECT_EQ(budgeted.find("metrics")->string_or("session_cache", ""), "hit");
+}
+
+TEST(ServerTest, RepeatedAnalyzeHitsSessionCacheWithoutReExploration) {
+  expect_repeat_hits_session_cache("analyze");
+}
+
+TEST(ServerTest, ZeroTimeoutReturnsStructuredTimeoutError) {
+  expect_zero_timeout_is_structured("analyze");
+}
+
+TEST(ServerTest, BudgetKnobsDoNotChangeTheCacheKey) {
+  expect_budget_knobs_share_the_cache_key("analyze");
+}
+
+class CachedOpTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CachedOpTest, RepeatedRequestHitsSessionCacheWithoutReExploration) {
+  expect_repeat_hits_session_cache(GetParam());
+}
+
+TEST_P(CachedOpTest, ZeroTimeoutReturnsStructuredTimeoutError) {
+  expect_zero_timeout_is_structured(GetParam());
+}
+
+TEST_P(CachedOpTest, BudgetKnobsDoNotChangeTheCacheKey) {
+  expect_budget_knobs_share_the_cache_key(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, CachedOpTest, ::testing::Values("check", "sweep"),
+                         [](const auto& info) { return info.param; });
+
+// --- client mistakes are bad_request on every op, before any engine work.
+
+struct UnknownMessageCase {
+  const char* op;
+  const char* fields;  ///< how the op names its message(s)
+};
+
+// Name each case by its op: gtest's default byte dump would embed the string
+// literals' addresses, which change from run to run under ASLR.
+void PrintTo(const UnknownMessageCase& param, std::ostream* os) { *os << param.op; }
+
+class UnknownMessageTest : public ::testing::TestWithParam<UnknownMessageCase> {};
+
+TEST_P(UnknownMessageTest, AnswersBadRequestNamingTheMessage) {
+  Server server(deterministic_options());
+  const JsonValue response =
+      handle(server, std::string("{\"op\": \"") + GetParam().op +
+                         "\", \"architecture\": \"" + arch_path() + "\", " +
+                         GetParam().fields + "}");
+  EXPECT_FALSE(response.bool_or("ok", true));
+  const JsonValue* error = response.find("error");
+  ASSERT_NE(error, nullptr) << response.dump();
+  EXPECT_EQ(error->string_or("code", ""), "bad_request");
+  EXPECT_EQ(error->string_or("message", ""), "unknown message 'ghost'");
+  EXPECT_EQ(response.find("metrics")->int_or("explores", -1), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, UnknownMessageTest,
+    ::testing::Values(
+        UnknownMessageCase{"analyze", R"("messages": ["ghost"])"},
+        UnknownMessageCase{"check",
+                           R"("message": "ghost", "properties": ["S=? [ \"violated\" ]"])"},
+        UnknownMessageCase{"sweep",
+                           R"("message": "ghost", "constant": "phi_gw", "values": [2])"},
+        UnknownMessageCase{"diagnose", R"("message": "ghost")"}),
+    [](const auto& info) { return std::string(info.param.op); });
+
+TEST(ServerTest, UnparsablePropertyIsBadRequestBeforeAnySession) {
+  Server server(deterministic_options());
+  const JsonValue response = handle(
+      server, "{\"op\": \"check\", \"architecture\": \"" + arch_path() +
+                  "\", \"message\": \"m\", \"properties\": [\"S=? [ \\\"violated\\\" ]\", "
+                  "\"S=? [ \\\"violated\\\" \"]}");
+  EXPECT_FALSE(response.bool_or("ok", true));
+  const JsonValue* error = response.find("error");
+  ASSERT_NE(error, nullptr) << response.dump();
+  EXPECT_EQ(error->string_or("code", ""), "bad_request");
+  EXPECT_NE(error->string_or("message", "").find("invalid property"), std::string::npos);
+  // Rejected up front: no session was built or looked up.
+  EXPECT_EQ(response.find("metrics")->string_or("session_cache", ""), "none");
+  EXPECT_EQ(server.cache_stats().entries, 0u);
+}
+
+TEST(ServerTest, TinyHorizonAnalyzeMatchesCheckWithTheExactBound) {
+  // The generated property texts carry the horizon exactly: at 1e-7 years
+  // analyze and sweep agree with a check of the same bound (not of
+  // "C<=0.000000").
+  Server server(deterministic_options());
+  const JsonValue analyzed = handle(
+      server, analyze_line("h1", ", \"horizon_years\": 1e-7, \"messages\": [\"m\"], "
+                                 "\"categories\": [\"confidentiality\"]"));
+  ASSERT_TRUE(analyzed.bool_or("ok", false)) << analyzed.dump();
+  const JsonValue checked = handle(
+      server, "{\"op\": \"check\", \"architecture\": \"" + arch_path() +
+                  "\", \"message\": \"m\", \"properties\": [\"R{\\\"exposure\\\"}=? [ "
+                  "C<=1e-7 ]\", \"P=? [ F<=1e-7 \\\"violated\\\" ]\"]}");
+  ASSERT_TRUE(checked.bool_or("ok", false)) << checked.dump();
+  const JsonValue swept = handle(
+      server, "{\"op\": \"sweep\", \"architecture\": \"" + arch_path() +
+                  "\", \"message\": \"m\", \"constant\": \"phi_gw\", \"values\": [4], "
+                  "\"horizon_years\": 1e-7}");
+  ASSERT_TRUE(swept.bool_or("ok", false)) << swept.dump();
+
+  const JsonValue* rows = checked.find("result")->find("properties");
+  const double exposure = rows->at(0).number_or("value", -1.0) / 1e-7;
+  const double breach = rows->at(1).number_or("value", -1.0);
+  ASSERT_GT(exposure, 0.0);
+  const JsonValue& result = analyzed.find("result")->find("results")->at(0);
+  EXPECT_NEAR(result.number_or("exploitable_fraction", -1.0), exposure, 1e-9 * exposure);
+  EXPECT_NEAR(result.number_or("breach_probability", -1.0), breach, 1e-9 * breach);
+  // phi_gw = 4 is arch1's own GW rate, so the sweep point is the base model.
+  EXPECT_NEAR(swept.find("result")->find("points")->at(0).number_or(
+                  "exploitable_fraction", -1.0),
+              exposure, 1e-9 * exposure);
 }
 
 TEST(ServerTest, DefaultTimeoutAppliesWhenRequestCarriesNone) {
@@ -343,17 +490,6 @@ TEST(ServerTest, StateBudgetExceededYieldsTypedErrorWithDetail) {
   // The failure must not poison the service: an unbudgeted repeat succeeds
   // (on a freshly rebuilt session — the failing entry was evicted).
   EXPECT_TRUE(handle(server, analyze_line("b2")).bool_or("ok", false));
-}
-
-TEST(ServerTest, BudgetKnobsDoNotChangeTheCacheKey) {
-  // A budgeted request and an unbudgeted one for the same model share one
-  // session entry: budgets bound work, they don't define the model.
-  Server server(deterministic_options());
-  ASSERT_TRUE(handle(server, analyze_line("k1")).bool_or("ok", false));
-  const JsonValue budgeted =
-      handle(server, analyze_line("k2", ", \"max_states\": 1000000"));
-  ASSERT_TRUE(budgeted.bool_or("ok", false)) << budgeted.dump();
-  EXPECT_EQ(budgeted.find("metrics")->string_or("session_cache", ""), "hit");
 }
 
 TEST(ServerTest, EngineChoiceIsVisibleInMetricsAndSplitsTheCacheKey) {
