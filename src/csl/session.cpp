@@ -380,18 +380,20 @@ std::vector<double> EngineSession::check_all(std::span<const Property> propertie
   const auto start = std::chrono::steady_clock::now();
   util::metrics::ScopedSpan span("solve");
   std::vector<double> results(properties.size(), 0.0);
-  if (!options_.parallel_properties || properties.size() == 1) {
-    for (size_t i = 0; i < properties.size(); ++i) {
-      results[i] = evaluate(stages, properties[i]);
+  // Cumulative-reward groups first, at the top level, so their shared pass
+  // runs its products row-parallel on the pool; the fan-out takes the rest.
+  const std::vector<size_t> rest = check_cumulative_groups(stages, properties, results);
+  // Each slot writes only its own result; evaluation order cannot change any
+  // value, so the batch is deterministic at every thread count.
+  const auto solve_range = [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      results[rest[j]] = evaluate(stages, properties[rest[j]]);
     }
+  };
+  if (!options_.parallel_properties || rest.size() <= 1) {
+    solve_range(0, rest.size());
   } else {
-    // Each slot writes only results[i]; evaluation order cannot change any
-    // value, so the batch is deterministic at every thread count.
-    util::parallel_for(0, properties.size(), 1, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        results[i] = evaluate(stages, properties[i]);
-      }
-    });
+    util::parallel_for(0, rest.size(), 1, solve_range);
   }
   stats_.solve_seconds += seconds_since(start);
   return results;
@@ -423,8 +425,7 @@ std::string EngineSession::checkpoint_key(const Stages& stages,
   return key;
 }
 
-double EngineSession::evaluate(Stages& stages, const Property& property) {
-  check_cancel("solve");
+void EngineSession::enter_property() {
   if (util::fault::triggered("solve.cancel")) throw util::Cancelled("solve");
   if (util::fault::triggered("solve.hang")) {
     // Deterministic hang: spin without crossing another safepoint, so the
@@ -433,10 +434,13 @@ double EngineSession::evaluate(Stages& stages, const Property& property) {
     for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   util::metrics::registry().add("session.properties");
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.check_count += 1;
-  }
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.check_count += 1;
+}
+
+double EngineSession::evaluate(Stages& stages, const Property& property) {
+  check_cancel("solve");
+  enter_property();
   CheckpointLedger* const ledger = options_.checkpoint.get();
   if (ledger == nullptr) return evaluate_fresh(stages, property);
   const std::string key = checkpoint_key(stages, property);
@@ -447,6 +451,63 @@ double EngineSession::evaluate(Stages& stages, const Property& property) {
   const double value = evaluate_fresh(stages, property);
   ledger->record(key, value);
   return value;
+}
+
+std::vector<size_t> EngineSession::check_cumulative_groups(
+    Stages& stages, std::span<const Property> properties, std::vector<double>& results) {
+  std::vector<size_t> rest;
+  // Horizon → members in input order.
+  std::vector<std::pair<double, std::vector<size_t>>> groups;
+  const bool shared = !stages.space->is_mdp() && stages.chain->max_exit_rate() > 0.0;
+  for (size_t i = 0; i < properties.size(); ++i) {
+    const Property& property = properties[i];
+    if (!shared || property.kind != PropertyKind::kCumulativeReward ||
+        property.direction != OptDirection::kNone) {
+      rest.push_back(i);
+      continue;
+    }
+    const double t = time_bound_in(stages, property);
+    const auto group = std::find_if(groups.begin(), groups.end(),
+                                    [t](const auto& g) { return g.first == t; });
+    if (group == groups.end()) {
+      groups.push_back({t, {i}});
+    } else {
+      group->second.push_back(i);
+    }
+  }
+
+  CheckpointLedger* const ledger = options_.checkpoint.get();
+  for (const auto& [t, members] : groups) {
+    check_cancel("solve");
+    // Members the ledger already holds replay and leave the pass.
+    std::vector<std::string> keys(members.size());
+    std::vector<bool> replayed(members.size(), false);
+    std::vector<std::vector<double>> rewards;
+    for (size_t m = 0; m < members.size(); ++m) {
+      const Property& property = properties[members[m]];
+      if (ledger != nullptr) {
+        keys[m] = checkpoint_key(stages, property);
+        if (ledger->lookup(keys[m], &results[members[m]])) {
+          util::metrics::registry().add("session.checkpoint_hits");
+          replayed[m] = true;
+          continue;
+        }
+      }
+      rewards.push_back(stages.space->reward_vector(property.reward_name));
+    }
+    const std::vector<double> values = ctmc::expected_cumulative_rewards(
+        uniformized_of(stages), stages.initial, rewards, t, transient_options());
+    // Record in input order, each behind its own solve safepoint, so an
+    // interrupt at the n-th visit leaves exactly n−1 records.
+    size_t fresh = 0;
+    for (size_t m = 0; m < members.size(); ++m) {
+      enter_property();
+      if (replayed[m]) continue;
+      results[members[m]] = values[fresh++];
+      if (ledger != nullptr) ledger->record(keys[m], results[members[m]]);
+    }
+  }
+  return rest;
 }
 
 double EngineSession::evaluate_fresh(Stages& stages, const Property& property) {

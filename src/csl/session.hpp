@@ -17,11 +17,14 @@
 // through a session, and automotive::analyze_architecture batches all of an
 // architecture's message properties through one session.
 //
-// Thread model: check_all() fans independent property solves across the
-// process-wide pool (util::parallel_for); each solve then runs its numeric
-// kernels serially (nested parallel regions degrade to serial loops), while
-// single check() calls parallelize inside the kernels instead. Results are
-// deterministic either way.
+// Thread model: check_all() first solves its cumulative-reward (C<=t)
+// properties at the top level, one shared uniformization pass per horizon
+// whose products run row-parallel on the process-wide pool; it then fans
+// the remaining property solves across the pool (util::parallel_for), each
+// running its numeric kernels serially (nested parallel regions degrade to
+// serial loops). Single check() calls parallelize inside the kernels.
+// Results are deterministic either way, and check(p) equals check_all's
+// value for p bit for bit.
 #pragma once
 
 #include <memory>
@@ -203,7 +206,16 @@ class EngineSession {
                                   const symbolic::Expr& formula) const;
   double time_bound_in(const Stages& stages, const Property& property) const;
 
+  /// Per-property solve safepoint: the solve.cancel/solve.hang fault sites
+  /// and the session.properties/check_count counters.
+  void enter_property();
   double evaluate(Stages& stages, const Property& property);
+  /// Solve the batch's ctmc C<=t properties in one shared uniformization
+  /// pass per horizon, writing their slots of `results`; returns the indices
+  /// (in input order) left for the per-property fan-out.
+  std::vector<size_t> check_cumulative_groups(Stages& stages,
+                                              std::span<const Property> properties,
+                                              std::vector<double>& results);
   /// The solve dispatch below the checkpoint safepoint: always computes.
   double evaluate_fresh(Stages& stages, const Property& property);
   /// Ledger key of one solve: override key + explored stage identity +

@@ -4,6 +4,7 @@
 // reward 1 on violating states.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
@@ -27,6 +28,17 @@ double expected_cumulative_reward(const Uniformized& uniformized,
                                   const std::vector<double>& initial,
                                   const std::vector<double>& state_rewards, double t,
                                   const TransientOptions& options = {});
+
+/// Every reward vector of `state_rewards` in one shared uniformization pass:
+/// the iterates are summed once into w = Σ_k (1 − PoisCDF(k)) · π₀Pᵏ and
+/// each reward is read off as w·r / q. Each reward closes at its own
+/// steady-state-detection step (its own ‖r‖∞ in the tail bound), so its
+/// value is bit-identical to solving it alone. Polls options.cancelled once
+/// per step and unwinds with util::Cancelled.
+std::vector<double> expected_cumulative_rewards(
+    const Uniformized& uniformized, const std::vector<double>& initial,
+    std::span<const std::vector<double>> state_rewards, double t,
+    const TransientOptions& options = {});
 
 /// Expected instantaneous state reward at time t: E[r(X_t)] = π(t)·r.
 double expected_instantaneous_reward(const Ctmc& chain,

@@ -116,6 +116,13 @@ std::vector<double> StateSpace::reward_vector(const std::string& rewards_name) c
         acc += item.value.evaluate_number(values);
       }
     }
+    // Non-finite rates are rejected at exploration; a non-finite reward
+    // would likewise poison every solve that reads it (C<=t, I=t, S answer
+    // ±inf or NaN without a word), so it is a model error too.
+    if (!std::isfinite(acc)) {
+      throw ModelError("rewards structure '" + rewards_name + "' has non-finite value " +
+                       std::to_string(acc) + " in state " + std::to_string(i));
+    }
     out[i] = acc;
   }
   return out;

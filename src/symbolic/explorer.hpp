@@ -124,7 +124,8 @@ class StateSpace {
   std::vector<bool> label_mask(const std::string& label_name) const;
 
   /// State-reward vector of the named rewards structure (sum of matching
-  /// items per state); throws ModelError if unknown.
+  /// items per state); throws ModelError if unknown or if a state's reward
+  /// is not finite (NaN/±inf), naming the structure and the state.
   std::vector<double> reward_vector(const std::string& rewards_name) const;
 
   const CompiledModel& model() const { return *model_; }

@@ -66,6 +66,8 @@ symbolic::Model repair_model() {
   builder.label("broken", Expr::ident("x") == Expr::literal(1));
   builder.state_reward("downtime", Expr::ident("x") == Expr::literal(1),
                        Expr::literal(1.0));
+  builder.state_reward("uptime", Expr::ident("x") == Expr::literal(0),
+                       Expr::literal(1.0));
   return builder.build();
 }
 
@@ -199,6 +201,46 @@ TEST_F(CheckpointTest, CtmcResumeAfterSolveCancelIsBitIdentical) {
     ASSERT_EQ(values.size(), fresh.size());
     for (size_t i = 0; i < fresh.size(); ++i) {
       EXPECT_EQ(values[i], fresh[i]) << kCtmcProperties[i];
+    }
+    EXPECT_EQ(resumed->resumed_hits(), interrupt_at - 1);
+  }
+}
+
+/// The same contract for the members of a shared cumulative-reward pass:
+/// each member passes its own solve safepoint, in input order, before its
+/// value is recorded, so an interrupt at the n-th visit still leaves n−1
+/// records and the resume replays them bit-identically.
+TEST_F(CheckpointTest, GroupedCumulativeRewardsResumeBitIdentically) {
+  const std::vector<std::string> properties = {
+      "R{\"downtime\"}=? [ C<=1 ]", "P=? [ F<=0.5 \"broken\" ]",
+      "R{\"uptime\"}=? [ C<=1 ]",   "R{\"downtime\"}=? [ C<=2 ]",
+      "R{\"uptime\"}=? [ C<=2 ]",   "S=? [ \"broken\" ]",
+  };
+  EngineSession reference(repair_model());
+  const std::vector<double> fresh = reference.check_all(properties);
+
+  for (uint64_t interrupt_at = 1; interrupt_at <= properties.size(); ++interrupt_at) {
+    const std::string identity = "grouped-" + std::to_string(interrupt_at);
+    {
+      auto ledger = std::make_shared<CheckpointLedger>(options(identity));
+      ledger->load();
+      SessionOptions session_options;
+      session_options.parallel_properties = false;  // deterministic interrupt
+      EngineSession session(repair_model(), session_options);
+      session.set_checkpoint(ledger);
+      util::fault::arm_site("solve.cancel", interrupt_at);
+      EXPECT_THROW(session.check_all(properties), util::Cancelled);
+      util::fault::disarm_all();
+    }
+    auto resumed = std::make_shared<CheckpointLedger>(options(identity));
+    EXPECT_EQ(resumed->load(), interrupt_at - 1)
+        << "solves finished before the interrupt were persisted";
+    EngineSession session(repair_model());
+    session.set_checkpoint(resumed);
+    const std::vector<double> values = session.check_all(properties);
+    ASSERT_EQ(values.size(), fresh.size());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(values[i], fresh[i]) << properties[i];
     }
     EXPECT_EQ(resumed->resumed_hits(), interrupt_at - 1);
   }

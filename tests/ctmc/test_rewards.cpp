@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "ctmc/poisson.hpp"
 #include "ctmc_test_helpers.hpp"
+#include "util/cancel.hpp"
+#include "util/metrics.hpp"
 
 namespace autosec::ctmc {
 namespace {
@@ -62,15 +67,14 @@ TEST(CumulativeReward, LargeHorizonExercisesTruncationTail) {
 
 TEST(CumulativeReward, ZeroHorizonIsZero) {
   const Ctmc chain = two_state(1.0, 1.0);
-  EXPECT_DOUBLE_EQ(
-      expected_cumulative_reward(chain, start_in(2, 0), {1.0, 1.0}, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(expected_cumulative_reward(chain, start_in(2, 0), {1.0, 1.0}, 0.0),
+                   0.0);
 }
 
 TEST(CumulativeReward, FrozenChainAccumulatesInitialReward) {
   linalg::CsrBuilder builder(2, 2);
   const Ctmc chain(std::move(builder).build());
-  const double value =
-      expected_cumulative_reward(chain, start_in(2, 1), {3.0, 7.0}, 2.0);
+  const double value = expected_cumulative_reward(chain, start_in(2, 1), {3.0, 7.0}, 2.0);
   EXPECT_DOUBLE_EQ(value, 14.0);
 }
 
@@ -78,9 +82,94 @@ TEST(CumulativeReward, RejectsBadArguments) {
   const Ctmc chain = two_state(1.0, 1.0);
   EXPECT_THROW(expected_cumulative_reward(chain, start_in(2, 0), {1.0}, 1.0),
                std::invalid_argument);
-  EXPECT_THROW(
-      expected_cumulative_reward(chain, start_in(2, 0), {1.0, 1.0}, -1.0),
-      std::invalid_argument);
+  EXPECT_THROW(expected_cumulative_reward(chain, start_in(2, 0), {1.0, 1.0}, -1.0),
+               std::invalid_argument);
+}
+
+/// Uniformization products the call `solve` performs.
+template <typename Solve>
+uint64_t products_of(Solve solve) {
+  util::metrics::Registry& metrics = util::metrics::registry();
+  metrics.set_enabled(true);
+  const uint64_t before = metrics.counter_value("ctmc.matrix_vector_products");
+  solve();
+  const uint64_t after = metrics.counter_value("ctmc.matrix_vector_products");
+  metrics.set_enabled(false);
+  return after - before;
+}
+
+TEST(CumulativeRewards, BatchMatchesSingleSolvesBitForBit) {
+  // A long horizon on a fast-mixing chain, so steady-state detection closes
+  // each reward early — the larger ‖r‖∞ later. Each batch value must equal
+  // the reward solved alone, and the pass must run exactly as long as its
+  // slowest member.
+  const Ctmc chain = testing::figure3_chain();
+  const Uniformized stage = uniformize(chain);
+  const std::vector<double> initial = start_in(3, 0);
+  const std::vector<std::vector<double>> rewards = {
+      {0.0, 0.0, 1.0}, {1000.0, 0.0, 0.0}, {1.0, 2.0, 3.0}};
+  const double t = 50.0;
+
+  std::vector<double> singles;
+  std::vector<uint64_t> single_products;
+  for (const std::vector<double>& reward : rewards) {
+    single_products.push_back(products_of([&] {
+      singles.push_back(expected_cumulative_reward(stage, initial, reward, t));
+    }));
+  }
+  ASSERT_LT(single_products[0], single_products[1])
+      << "premise: the larger reward ceiling closes later";
+
+  std::vector<double> batch;
+  const uint64_t batch_products = products_of([&] {
+    batch = expected_cumulative_rewards(stage, initial, rewards, t);
+  });
+  ASSERT_EQ(batch.size(), rewards.size());
+  for (size_t r = 0; r < rewards.size(); ++r) {
+    EXPECT_EQ(batch[r], singles[r]) << "reward " << r;
+  }
+  EXPECT_EQ(batch_products,
+            *std::max_element(single_products.begin(), single_products.end()));
+  // Same answers as the exhaustive sum, within the detection bound.
+  TransientOptions exhaustive;
+  exhaustive.steady_state_detection = false;
+  for (size_t r = 0; r < rewards.size(); ++r) {
+    const double full =
+        expected_cumulative_reward(stage, initial, rewards[r], t, exhaustive);
+    EXPECT_NEAR(batch[r], full, 1e-6) << "reward " << r;
+  }
+}
+
+TEST(CumulativeRewards, EmptyBatchAndZeroHorizonDoNoWork) {
+  const Uniformized stage = uniformize(two_state(1.0, 2.0));
+  const std::vector<double> initial = start_in(2, 0);
+  const std::vector<std::vector<double>> rewards = {{1.0, 0.0}, {0.0, 1.0}};
+  std::vector<double> empty_batch;
+  std::vector<double> zero_horizon;
+  const uint64_t products = products_of([&] {
+    empty_batch = expected_cumulative_rewards(stage, initial, {}, 1.0);
+    zero_horizon = expected_cumulative_rewards(stage, initial, rewards, 0.0);
+  });
+  EXPECT_EQ(products, 0u);
+  EXPECT_TRUE(empty_batch.empty());
+  EXPECT_EQ(zero_horizon, (std::vector<double>{0.0, 0.0}));
+  const std::vector<std::vector<double>> mismatched = {{1.0, 0.0}, {1.0}};
+  EXPECT_THROW(expected_cumulative_rewards(stage, initial, mismatched, 1.0),
+               std::invalid_argument);
+}
+
+TEST(CumulativeRewards, CancelHookStopsTheSweep) {
+  // The hook is polled once per uniformization step; when it fires on the
+  // N-th poll the sweep unwinds there with util::Cancelled.
+  const Uniformized stage = uniformize(testing::figure3_chain());
+  const std::vector<double> reward = {0.0, 0.0, 1.0};
+  constexpr int kFireAt = 5;
+  int polls = 0;
+  TransientOptions options;
+  options.cancelled = [&polls] { return ++polls == kFireAt; };
+  EXPECT_THROW(expected_cumulative_reward(stage, start_in(3, 0), reward, 50.0, options),
+               util::Cancelled);
+  EXPECT_EQ(polls, kFireAt);
 }
 
 TEST(InstantaneousReward, MatchesTransientDistribution) {
@@ -135,8 +224,7 @@ class OccupancySweep : public ::testing::TestWithParam<std::tuple<double, double
 TEST_P(OccupancySweep, MatchesClosedFormAcrossRates) {
   const auto [eta, phi] = GetParam();
   const Ctmc chain = two_state(eta, phi);
-  const double actual =
-      expected_time_fraction(chain, start_in(2, 0), {false, true}, 1.0);
+  const double actual = expected_time_fraction(chain, start_in(2, 0), {false, true}, 1.0);
   EXPECT_NEAR(actual, two_state_occupancy1(eta, phi, 1.0), 1e-9);
 }
 
