@@ -1,31 +1,64 @@
 #include "ctmc/steady_state.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <atomic>
 #include <stdexcept>
+#include <string>
 
 #include "ctmc/scc.hpp"
 #include "ctmc/transient.hpp"
-#include "linalg/power_iteration.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/cancel.hpp"
 #include "util/failure.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
-#include <atomic>
-
 namespace autosec::ctmc {
 
 namespace {
 
+/// solve_fixpoint plus the steady-state failure contract: cancellation
+/// unwinds as util::Cancelled, every rung beyond the first is added to
+/// `fallbacks`, and a ladder that fails on every rung unwinds as a typed
+/// solver_diverged failure at stage "steady_state".
+std::vector<double> solve_or_throw(const linalg::CsrMatrix& A,
+                                   const std::vector<double>& b,
+                                   const linalg::IterativeOptions& solver,
+                                   std::atomic<size_t>& fallbacks,
+                                   const char* what) {
+  auto solved = linalg::solve_fixpoint(A, b, solver);
+  if (solved.cancelled) throw util::Cancelled("steady_state");
+  if (solved.attempts.size() > 1) {
+    fallbacks.fetch_add(solved.attempts.size() - 1, std::memory_order_relaxed);
+  }
+  if (!solved.converged) {
+    util::FailureProgress progress;
+    progress.iterations = solved.iterations;
+    progress.residual = solved.final_delta;
+    throw util::EngineFailure(
+        util::FailureCode::kSolverDiverged, "steady_state",
+        std::string("steady_state: ") + what + " solve failed on every rung (" +
+            std::to_string(solved.attempts.size()) + " attempted)",
+        progress);
+  }
+  return std::move(solved.x);
+}
+
 /// Stationary distribution within one BSCC, returned over the BSCC's local
-/// state indices. The BSCC has no outgoing edges, so restricting the rate
-/// matrix to its members yields a conservative generator. When the
-/// Gauss-Seidel solve fails (divergence or iteration cap), the uniformized
-/// power iteration gets one shot before the solve unwinds as a typed
-/// solver_diverged failure; `fallbacks` counts the rungs taken beyond the
-/// first.
+/// state indices. The BSCC has no outgoing edges, so its embedded jump chain
+/// P_ij = R_ij / E_i is stochastic and irreducible. Fixing a reference state
+/// r, the visit measure ν of P scaled to ν_r = 1 solves
+///   ν_j = Σ_{i≠r} ν_i·P_ij + P_rj   for every j ≠ r,
+/// an x = A·x + b system with A = (P restricted to the non-r states)ᵀ,
+/// substochastic because P_r· is cut away. It goes to linalg::solve_fixpoint
+/// like every other unbounded solve, and π_j ∝ ν_j / E_j.
+///
+/// r is the state with the largest one-step in-flow Σ_i P_ir. Cutting r out
+/// stops the chain each time it would enter r, so the iteration contracts at
+/// the rate the chain returns to r: a rarely visited reference leaves A with
+/// spectral radius near 1 and ν spanning orders of magnitude (a 36-state
+/// random BSCC with r = its lowest state stalled Gauss-Seidel at Δ≈5e-7),
+/// while a heavily entered one converges in a few dozen sweeps.
 std::vector<double> bscc_stationary(const Ctmc& chain,
                                     const std::vector<uint32_t>& members,
                                     const linalg::IterativeOptions& solver,
@@ -35,68 +68,76 @@ std::vector<double> bscc_stationary(const Ctmc& chain,
 
   std::vector<uint32_t> local_of(chain.state_count(), UINT32_MAX);
   for (uint32_t i = 0; i < m; ++i) local_of[members[i]] = i;
+  const std::vector<double>& exit_rates = chain.exit_rates();
 
-  // Build the transposed restricted generator directly: row i of Qt collects
-  // incoming rates Q_ji plus the diagonal -E_i. Counting-sort assembly: the
-  // scatter scans local source states in ascending order and emits each row's
-  // diagonal while the scan sits on that row (no local self-loops exist), so
-  // every Qt row comes out with strictly ascending columns — no builder sort.
-  std::vector<double> exit(m, 0.0);
-  std::vector<uint32_t> offsets(m + 1, 0);
-  for (uint32_t local = 0; local < m; ++local) {
-    ++offsets[local + 1];  // diagonal
-    const auto cols = chain.rates().row_columns(members[local]);
-    const auto vals = chain.rates().row_values(members[local]);
+  // Pass 1: in-degree and one-step in-flow of every member.
+  std::vector<uint32_t> in_degree(m, 0);
+  std::vector<double> inflow(m, 0.0);
+  for (uint32_t i = 0; i < m; ++i) {
+    const auto cols = chain.rates().row_columns(members[i]);
+    const auto vals = chain.rates().row_values(members[i]);
     for (size_t k = 0; k < cols.size(); ++k) {
-      const uint32_t target_local = local_of[cols[k]];
-      if (target_local == UINT32_MAX) {
+      if (vals[k] == 0.0) continue;
+      const uint32_t j = local_of[cols[k]];
+      if (j == UINT32_MAX) {
         throw std::logic_error("bscc_stationary: edge leaves the BSCC");
       }
-      ++offsets[target_local + 1];
-      exit[local] += vals[k];
+      ++in_degree[j];
+      inflow[j] += vals[k] / exit_rates[members[i]];
     }
   }
-  for (uint32_t i = 0; i < m; ++i) offsets[i + 1] += offsets[i];
-  std::vector<uint32_t> columns(offsets[m]);
-  std::vector<double> values(offsets[m]);
-  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (uint32_t local = 0; local < m; ++local) {
-    const uint32_t diagonal_pos = cursor[local]++;
-    columns[diagonal_pos] = local;
-    values[diagonal_pos] = -exit[local];
-    const auto cols = chain.rates().row_columns(members[local]);
-    const auto vals = chain.rates().row_values(members[local]);
-    for (size_t k = 0; k < cols.size(); ++k) {
-      const uint32_t pos = cursor[local_of[cols[k]]]++;
-      columns[pos] = local;
-      values[pos] = vals[k];
-    }
-  }
-  const linalg::CsrMatrix Qt(m, m, std::move(offsets), std::move(columns),
-                             std::move(values));
-  auto result = linalg::stationary_from_transposed(Qt, solver);
-  if (result.cancelled) throw util::Cancelled("steady_state");
-  if (result.converged) return std::move(result.x);
+  const uint32_t r = static_cast<uint32_t>(
+      std::max_element(inflow.begin(), inflow.end()) - inflow.begin());
+  // Unknown index of a non-reference member.
+  const auto unknown = [r](uint32_t j) { return j - (j > r ? 1u : 0u); };
 
-  // Gauss-Seidel failed; the uniformized power iteration is slower but has
-  // weaker convergence requirements (only aperiodicity + irreducibility).
-  fallbacks.fetch_add(1, std::memory_order_relaxed);
-  util::metrics::registry().add("solver.stationary_fallbacks");
-  auto power = linalg::stationary_power_from_transposed(Qt, solver);
-  if (power.cancelled) throw util::Cancelled("steady_state");
-  if (!power.converged) {
-    util::FailureProgress progress;
-    progress.iterations = result.iterations + power.iterations;
-    progress.residual = power.final_delta;
-    throw util::EngineFailure(
-        util::FailureCode::kSolverDiverged, "steady_state",
-        "bscc_stationary: no solver rung converged (gauss_seidel " +
-            std::string(result.diverged ? "diverged" : "stalled") +
-            ", power " + std::string(power.diverged ? "diverged" : "stalled") +
-            ")",
-        progress);
+  // Row j of A holds P_ij for the sources i ≠ r; the reference row is b.
+  const auto r_cols = chain.rates().row_columns(members[r]);
+  const auto r_vals = chain.rates().row_values(members[r]);
+  for (size_t k = 0; k < r_cols.size(); ++k) {
+    if (r_vals[k] != 0.0) --in_degree[local_of[r_cols[k]]];
   }
-  return std::move(power.x);
+  std::vector<uint32_t> offsets(m, 0);  // m−1 rows
+  for (uint32_t j = 0; j < m; ++j) {
+    if (j != r) offsets[unknown(j) + 1] = in_degree[j];
+  }
+  for (size_t u = 0; u + 1 < m; ++u) offsets[u + 1] += offsets[u];
+
+  // Pass 2: counting-sort scatter. Sources are scanned in ascending order
+  // and unknown() is monotone, so every row comes out with strictly
+  // ascending columns (no local self-loops exist) — no builder sort.
+  std::vector<uint32_t> columns(offsets[m - 1]);
+  std::vector<double> values(offsets[m - 1]);
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<double> b(m - 1, 0.0);
+  for (uint32_t i = 0; i < m; ++i) {
+    const auto cols = chain.rates().row_columns(members[i]);
+    const auto vals = chain.rates().row_values(members[i]);
+    const double exit_i = exit_rates[members[i]];
+    for (size_t k = 0; k < cols.size(); ++k) {
+      if (vals[k] == 0.0) continue;
+      const uint32_t j = local_of[cols[k]];
+      if (j == r) continue;
+      if (i == r) {
+        b[unknown(j)] = vals[k] / exit_i;
+        continue;
+      }
+      const uint32_t pos = cursor[unknown(j)]++;
+      columns[pos] = unknown(i);
+      values[pos] = vals[k] / exit_i;
+    }
+  }
+  const linalg::CsrMatrix A(m - 1, m - 1, std::move(offsets), std::move(columns),
+                            std::move(values));
+  const std::vector<double> visits =
+      solve_or_throw(A, b, solver, fallbacks, "stationary");
+
+  std::vector<double> pi(m);
+  for (uint32_t j = 0; j < m; ++j) {
+    pi[j] = (j == r ? 1.0 : visits[unknown(j)]) / exit_rates[members[j]];
+  }
+  linalg::normalize_l1(pi);
+  return pi;
 }
 
 }  // namespace
@@ -186,21 +227,41 @@ SteadyStateResult steady_state(const Ctmc& chain, const std::vector<double>& ini
     }
   }
 
-  const linalg::CsrMatrix embedded = chain.embedded_dtmc();
   std::vector<std::vector<double>> absorb(bottoms.size());
 
-  // Transient-to-transient block (shared across BSCC targets).
-  linalg::CsrBuilder block_builder(transient_states.size(), transient_states.size());
-  for (uint32_t local = 0; local < transient_states.size(); ++local) {
+  // Transient-to-transient block of the embedded DTMC (shared across BSCC
+  // targets), assembled row by row straight from the rates — the embedded
+  // DTMC itself is never built, and with no branching transient state (a
+  // single BSCC covering the chain, as in every paper architecture) the
+  // block is empty. A branching state always has a positive exit rate, and
+  // transient_local is monotone in the global id, so each filtered row keeps
+  // ascending columns.
+  const std::vector<double>& exit_rates = chain.exit_rates();
+  const size_t t = transient_states.size();
+  std::vector<uint32_t> offsets(t + 1, 0);
+  for (uint32_t local = 0; local < t; ++local) {
+    uint32_t count = 0;
+    for (const uint32_t col : chain.rates().row_columns(transient_states[local])) {
+      if (transient_local[col] != UINT32_MAX) ++count;
+    }
+    offsets[local + 1] = offsets[local] + count;
+  }
+  std::vector<uint32_t> columns(offsets[t]);
+  std::vector<double> values(offsets[t]);
+  for (uint32_t local = 0; local < t; ++local) {
     const uint32_t global = transient_states[local];
-    const auto cols = embedded.row_columns(global);
-    const auto vals = embedded.row_values(global);
+    const auto cols = chain.rates().row_columns(global);
+    const auto vals = chain.rates().row_values(global);
+    uint32_t pos = offsets[local];
     for (size_t k = 0; k < cols.size(); ++k) {
       const uint32_t tl = transient_local[cols[k]];
-      if (tl != UINT32_MAX) block_builder.add(local, tl, vals[k]);
+      if (tl == UINT32_MAX) continue;
+      columns[pos] = tl;
+      values[pos++] = vals[k] / exit_rates[global];
     }
   }
-  const linalg::CsrMatrix transient_block = std::move(block_builder).build();
+  const linalg::CsrMatrix transient_block(t, t, std::move(offsets),
+                                          std::move(columns), std::move(values));
 
   // Independent per-BSCC absorption solves: each b writes only absorb[b], so
   // fanning them across the pool keeps results identical to the serial sweep.
@@ -210,35 +271,23 @@ SteadyStateResult steady_state(const Ctmc& chain, const std::vector<double>& ini
       for (uint32_t s = 0; s < n; ++s) {
         if (determined_bscc[s] == b) absorb[b][s] = 1.0;
       }
-      if (transient_states.empty()) continue;
+      if (t == 0) continue;
 
-      std::vector<double> one_step(transient_states.size(), 0.0);
-      for (uint32_t local = 0; local < transient_states.size(); ++local) {
+      std::vector<double> one_step(t, 0.0);
+      for (uint32_t local = 0; local < t; ++local) {
         const uint32_t global = transient_states[local];
-        const auto cols = embedded.row_columns(global);
-        const auto vals = embedded.row_values(global);
+        const auto cols = chain.rates().row_columns(global);
+        const auto vals = chain.rates().row_values(global);
         for (size_t k = 0; k < cols.size(); ++k) {
-          if (determined_bscc[cols[k]] == b) one_step[local] += vals[k];
+          if (determined_bscc[cols[k]] == b) {
+            one_step[local] += vals[k] / exit_rates[global];
+          }
         }
       }
-      auto solved = linalg::solve_fixpoint(transient_block, one_step, options.solver);
-      if (solved.cancelled) throw util::Cancelled("steady_state");
-      if (solved.attempts.size() > 1) {
-        fallbacks.fetch_add(solved.attempts.size() - 1,
-                            std::memory_order_relaxed);
-      }
-      if (!solved.converged) {
-        util::FailureProgress progress;
-        progress.iterations = solved.iterations;
-        progress.residual = solved.final_delta;
-        throw util::EngineFailure(
-            util::FailureCode::kSolverDiverged, "steady_state",
-            "steady_state: absorption solve failed on every rung (" +
-                std::to_string(solved.attempts.size()) + " attempted)",
-            progress);
-      }
-      for (uint32_t local = 0; local < transient_states.size(); ++local) {
-        absorb[b][transient_states[local]] = solved.x[local];
+      const std::vector<double> solved = solve_or_throw(
+          transient_block, one_step, options.solver, fallbacks, "absorption");
+      for (uint32_t local = 0; local < t; ++local) {
+        absorb[b][transient_states[local]] = solved[local];
       }
     }
   });

@@ -6,7 +6,6 @@
 
 #include "linalg/krylov.hpp"
 #include "linalg/power_iteration.hpp"
-#include "linalg/vector_ops.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
 
@@ -196,79 +195,6 @@ IterativeResult solve_fixpoint(const CsrMatrix& A, const std::vector<double>& b,
     }
   }
   throw std::logic_error("solve_fixpoint: unknown method");
-}
-
-IterativeResult stationary_from_transposed(const CsrMatrix& Qt,
-                                           const IterativeOptions& options) {
-  const size_t n = Qt.rows();
-  if (Qt.cols() != n) throw std::invalid_argument("stationary: matrix must be square");
-  if (n == 0) throw std::invalid_argument("stationary: empty matrix");
-
-  util::metrics::registry().add("solver.stationary_solves");
-  IterativeResult result;
-  if (n == 1) {
-    result.x = {1.0};
-    result.converged = true;
-    return result;
-  }
-
-  if (util::fault::triggered("stationary.diverge")) {
-    result.x.assign(n, 1.0 / static_cast<double>(n));
-    result.diverged = true;
-    result.attempts.push_back({"gauss_seidel", 0, 0.0, false, true});
-    return result;
-  }
-
-  // One split pass replaces the per-sweep diagonal scans: exit rates -Q_ii
-  // come from the extracted diagonal, the sweep sums only off-diagonal
-  // inflow entries (in their original ascending order — bit-identical sums).
-  const SweepRows rows = split_diagonal(Qt);
-  std::vector<double> exit_rate(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    if (rows.diagonal[i] >= 0.0) {
-      throw std::runtime_error(
-          "stationary: state without outgoing rate in a multi-state BSCC");
-    }
-    exit_rate[i] = -rows.diagonal[i];
-  }
-
-  result.x.assign(n, 1.0 / static_cast<double>(n));
-  std::vector<double>& pi = result.x;
-
-  for (size_t iter = 1; iter <= options.max_iterations; ++iter) {
-    if (options.cancelled && options.cancelled()) {
-      result.cancelled = true;
-      return result;
-    }
-    double delta = 0.0;
-    double checksum = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      double inflow = 0.0;
-      for (uint32_t k = rows.offsets[i]; k < rows.offsets[i + 1]; ++k) {
-        inflow += rows.vals[k] * pi[rows.cols[k]];
-      }
-      const double updated = inflow / exit_rate[i];
-      delta = std::max(delta, std::abs(updated - pi[i]));
-      checksum += updated;
-      pi[i] = updated;
-    }
-    result.iterations = iter;
-    result.final_delta = delta;
-    if (!std::isfinite(checksum)) {
-      result.diverged = true;
-      break;
-    }
-    normalize_l1(pi);
-    if (delta <= options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  result.attempts.push_back({"gauss_seidel", result.iterations,
-                             result.final_delta, result.converged,
-                             result.diverged});
-  util::metrics::registry().add("solver.stationary_iterations", result.iterations);
-  return result;
 }
 
 }  // namespace autosec::linalg

@@ -1,16 +1,13 @@
-// Gauss-Seidel style iterative solvers for the two linear-system shapes that
-// appear in CTMC analysis:
+// The fixpoint solve x = A·x + b behind every unbounded CTMC query, with A
+// substochastic: absorption probabilities and expected reachability rewards
+// on the transient block of the embedded DTMC, and the BSCC visit measures
+// steady-state analysis normalizes into stationary distributions
+// (ctmc/steady_state.cpp). solve_fixpoint picks the method; this file also
+// holds its Gauss-Seidel rung.
 //
-//  * fixpoint systems  x = A·x + b  (absorption probabilities / expected
-//    reachability rewards on the embedded DTMC, where A is the substochastic
-//    transient-to-transient block), and
-//  * stationary distributions  π·Q = 0, Σπ = 1  over an irreducible generator
-//    (solved through the transposed generator so each update only needs the
-//    incoming transitions of one state).
-//
-// Every sweep updates states 0..n-1 strictly in order, in place, so each
-// update already sees the values written earlier in the same sweep. The
-// sweep is serial and therefore bit-identical at any thread count.
+// Every Gauss-Seidel sweep updates states 0..n-1 strictly in order, in
+// place, so each update already sees the values written earlier in the same
+// sweep. The sweep is serial and therefore bit-identical at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -22,8 +19,7 @@
 
 namespace autosec::linalg {
 
-/// How solve_fixpoint attacks x = A·x + b. Stationary solves
-/// (stationary_from_transposed) always use Gauss-Seidel and ignore this.
+/// How solve_fixpoint attacks x = A·x + b.
 enum class FixpointMethod {
   /// The full fallback ladder: BiCGSTAB (linalg/krylov.hpp) first,
   /// Gauss-Seidel sweeps when Krylov breaks down or stagnates, and a Jacobi
@@ -87,13 +83,5 @@ struct IterativeResult {
 /// is handled implicitly (x_i = (Σ_{j≠i} A_ij x_j + b_i) / (1 − A_ii)).
 IterativeResult solve_fixpoint(const CsrMatrix& A, const std::vector<double>& b,
                                const IterativeOptions& options = {});
-
-/// Stationary distribution of an irreducible CTMC generator Q, given the
-/// *transposed* generator Qt (row i of Qt holds the rates Q_ji into state i).
-/// Solves π_i = Σ_{j≠i} π_j·Q_ji / (−Q_ii) with per-sweep L1 normalization.
-/// States with Q_ii == 0 (isolated absorbing single-state BSCC) are handled by
-/// returning the point distribution when the matrix is 1x1.
-IterativeResult stationary_from_transposed(const CsrMatrix& Qt,
-                                           const IterativeOptions& options = {});
 
 }  // namespace autosec::linalg

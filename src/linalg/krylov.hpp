@@ -1,6 +1,7 @@
 // Krylov-subspace acceleration for the fixpoint systems x = A·x + b that
 // dominate unbounded CSL queries (absorption probabilities and expected
-// reachability rewards on the embedded DTMC).
+// reachability rewards on the embedded DTMC) and steady-state analysis (the
+// visit measure of each BSCC's embedded chain).
 //
 // Gauss-Seidel converges at the contraction rate of the substochastic block
 // A; on stiff chains — rare repair/patch events, mean times of hundreds of

@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "linalg/vector_ops.hpp"
 #include "util/fault.hpp"
 
 namespace autosec::linalg {
@@ -20,35 +19,6 @@ constexpr double kDivergenceCeiling = 1e100;
 constexpr size_t kStagnationWindow = 10000;
 
 }  // namespace
-
-IterativeResult stationary_power_iteration(const CsrMatrix& P,
-                                           const IterativeOptions& options) {
-  const size_t n = P.rows();
-  if (P.cols() != n) throw std::invalid_argument("power iteration: square matrix required");
-  if (n == 0) throw std::invalid_argument("power iteration: empty matrix");
-
-  IterativeResult result;
-  result.x.assign(n, 1.0 / static_cast<double>(n));
-  std::vector<double> next(n, 0.0);
-
-  // π·P computed as Pᵀ·π: the gather form sums each entry in the same order
-  // as the serial scatter kernel but runs row-parallel.
-  const CsrMatrix Pt = P.transposed();
-
-  for (size_t iter = 1; iter <= options.max_iterations; ++iter) {
-    Pt.right_multiply(result.x, next);
-    normalize_l1(next);
-    const double delta = max_abs_diff(result.x, next);
-    result.x.swap(next);
-    result.iterations = iter;
-    result.final_delta = delta;
-    if (delta <= options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
-}
 
 IterativeResult solve_fixpoint_power(const CsrMatrix& A,
                                      const std::vector<double>& b,
@@ -101,77 +71,6 @@ IterativeResult solve_fixpoint_power(const CsrMatrix& A,
     } else if (++stagnant >= kStagnationWindow) {
       result.diverged = true;
       return result;
-    }
-  }
-  return result;
-}
-
-IterativeResult stationary_power_from_transposed(const CsrMatrix& Qt,
-                                                 const IterativeOptions& options) {
-  const size_t n = Qt.rows();
-  if (Qt.cols() != n) {
-    throw std::invalid_argument("stationary power: square matrix required");
-  }
-  if (n == 0) throw std::invalid_argument("stationary power: empty matrix");
-
-  IterativeResult result;
-  if (n == 1) {
-    result.x = {1.0};
-    result.converged = true;
-    return result;
-  }
-
-  if (util::fault::triggered("power.diverge")) {
-    result.x.assign(n, 1.0 / static_cast<double>(n));
-    result.diverged = true;
-    return result;
-  }
-
-  // Uniformization constant: strictly above the max exit rate so the DTMC
-  // P = I + Q/q keeps a positive self-loop at the fastest state.
-  double max_exit = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double qii = Qt.at(i, i);
-    if (qii >= 0.0) {
-      throw std::runtime_error(
-          "stationary power: state without outgoing rate in a multi-state BSCC");
-    }
-    max_exit = std::max(max_exit, -qii);
-  }
-  const double q = 1.05 * max_exit;
-
-  result.x.assign(n, 1.0 / static_cast<double>(n));
-  std::vector<double> flow(n, 0.0);
-
-  for (size_t iter = 1; iter <= options.max_iterations; ++iter) {
-    if (options.cancelled && options.cancelled()) {
-      result.cancelled = true;
-      return result;
-    }
-    // π ← π·P computed as π + (Qt·π)/q; Qt rows hold incoming rates, so the
-    // gather form needs no transpose pass.
-    Qt.right_multiply(result.x, flow);
-    double delta = 0.0;
-    double checksum = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double updated = result.x[i] + flow[i] / q;
-      delta = std::max(delta, std::abs(updated - result.x[i]));
-      checksum += updated;
-      flow[i] = updated;
-    }
-    if (!std::isfinite(checksum)) {
-      result.diverged = true;
-      result.iterations = iter;
-      result.final_delta = delta;
-      return result;
-    }
-    normalize_l1(flow);
-    result.x.swap(flow);
-    result.iterations = iter;
-    result.final_delta = delta;
-    if (delta <= options.tolerance) {
-      result.converged = true;
-      break;
     }
   }
   return result;

@@ -1,6 +1,5 @@
-// Power iteration on a stochastic matrix. Used as an independent cross-check
-// of the Gauss-Seidel stationary solver: the stationary distribution of a CTMC
-// equals that of its uniformized DTMC P = I + Q/q.
+// Jacobi power iteration x ← A·x + b: the last rung of the solve_fixpoint
+// kAuto ladder (linalg/gauss_seidel.hpp).
 #pragma once
 
 #include <vector>
@@ -9,14 +8,6 @@
 #include "linalg/gauss_seidel.hpp"
 
 namespace autosec::linalg {
-
-/// Iterate π ← π·P (left multiplication) from the uniform distribution until
-/// the max-norm change drops below the tolerance. P must be row-stochastic and
-/// correspond to an aperiodic, irreducible chain for convergence; the strictly
-/// positive self-loop produced by uniformization with q > max exit rate
-/// guarantees aperiodicity.
-IterativeResult stationary_power_iteration(const CsrMatrix& P,
-                                           const IterativeOptions& options = {});
 
 /// Jacobi iteration x ← A·x + b — the last rung of the solve_fixpoint kAuto
 /// ladder. Slower than Gauss-Seidel but makes no in-place-update assumption,
@@ -28,13 +19,5 @@ IterativeResult stationary_power_iteration(const CsrMatrix& P,
 IterativeResult solve_fixpoint_power(const CsrMatrix& A,
                                      const std::vector<double>& b,
                                      const IterativeOptions& options = {});
-
-/// Stationary fallback for bscc_stationary when the Gauss-Seidel solve fails:
-/// power-iterate the uniformized DTMC π ← π + (Qt·π)/q directly on the
-/// *transposed* generator, with q = 1.05 × max exit rate (the slack keeps a
-/// strictly positive self-loop, guaranteeing aperiodicity). Requires every
-/// diagonal Qt_ii < 0, as stationary_from_transposed already validated.
-IterativeResult stationary_power_from_transposed(
-    const CsrMatrix& Qt, const IterativeOptions& options = {});
 
 }  // namespace autosec::linalg

@@ -153,16 +153,6 @@ linalg::CsrMatrix tiny_fixpoint_matrix() {
   return std::move(builder).build();
 }
 
-/// Tiny irreducible transposed generator (two states, rates 1 and 2).
-linalg::CsrMatrix tiny_transposed_generator() {
-  linalg::CsrBuilder builder(2, 2);
-  builder.add(0, 0, -1.0);
-  builder.add(0, 1, 2.0);
-  builder.add(1, 0, 1.0);
-  builder.add(1, 1, -2.0);
-  return std::move(builder).build();
-}
-
 /// Kernel-level check: arm `site` and assert the solver run reports an honest
 /// diverged result (not a crash, not a silently wrong answer).
 FaultCheckResult check_kernel_diverged(
@@ -277,9 +267,6 @@ FaultCheckReport run_fault_checks() {
   }));
   report.results.push_back(check_kernel_diverged("power.diverge", [] {
     return linalg::solve_fixpoint_power(tiny_fixpoint_matrix(), {1.0, 1.0});
-  }));
-  report.results.push_back(check_kernel_diverged("stationary.diverge", [] {
-    return linalg::stationary_from_transposed(tiny_transposed_generator());
   }));
 
   return report;

@@ -156,7 +156,6 @@ const std::vector<std::string>& known_sites() {
       "krylov.breakdown",    // BiCGSTAB reports breakdown (forces rung 2)
       "gauss_seidel.diverge",  // Gauss-Seidel reports divergence (forces rung 3)
       "power.diverge",       // power rung reports divergence (whole ladder fails)
-      "stationary.diverge",  // stationary Gauss-Seidel fails (power fallback)
       "serve.dispatch.alloc",  // serve: allocation failure before dispatch
   };
   return sites;

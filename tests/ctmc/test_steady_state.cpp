@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "ctmc_test_helpers.hpp"
 #include "linalg/vector_ops.hpp"
+#include "symbolic/explorer.hpp"
+#include "testing/oracle.hpp"
+#include "testing/random_model.hpp"
+#include "util/failure.hpp"
+#include "util/fault.hpp"
 
 namespace autosec::ctmc {
 namespace {
@@ -34,6 +42,38 @@ TEST(Stationary, SatisfiesBalanceEquations) {
 TEST(Stationary, RejectsReducibleChain) {
   const Ctmc chain = two_state(1.0, 0.0);  // state 1 absorbing
   EXPECT_THROW(stationary_distribution(chain), std::invalid_argument);
+}
+
+TEST(Stationary, TwoStateChain) {
+  const auto pi = stationary_distribution(two_state(2.0, 6.0));
+  // pi = (b, a) / (a+b).
+  EXPECT_NEAR(pi[0], 0.75, 1e-10);
+  EXPECT_NEAR(pi[1], 0.25, 1e-10);
+}
+
+TEST(Stationary, SingleStateIsPointMass) {
+  linalg::CsrBuilder builder(1, 1);
+  const auto pi = stationary_distribution(Ctmc(std::move(builder).build()));
+  ASSERT_EQ(pi.size(), 1u);
+  EXPECT_DOUBLE_EQ(pi[0], 1.0);
+}
+
+TEST(Stationary, ThreeStateCycle) {
+  // 0 -> 1 -> 2 -> 0 with unit rates: uniform stationary distribution.
+  linalg::CsrBuilder builder(3, 3);
+  for (uint32_t i = 0; i < 3; ++i) builder.add(i, (i + 1) % 3, 1.0);
+  const auto pi = stationary_distribution(Ctmc(std::move(builder).build()));
+  for (int i = 0; i < 3; ++i) EXPECT_NEAR(pi[i], 1.0 / 3.0, 1e-10);
+}
+
+TEST(Stationary, StateWithoutExitRateThrows) {
+  // 0 <-> 1 -> 2 and state 2 has no exit: no single BSCC covers the chain.
+  linalg::CsrBuilder builder(3, 3);
+  builder.add(0, 1, 1.0);
+  builder.add(1, 0, 1.0);
+  builder.add(1, 2, 1.0);
+  EXPECT_THROW(stationary_distribution(Ctmc(std::move(builder).build())),
+               std::invalid_argument);
 }
 
 TEST(SteadyState, IrreducibleMatchesStationary) {
@@ -90,6 +130,21 @@ TEST(SteadyState, MultiStateBsccGetsInternalStationary) {
   EXPECT_NEAR(result.distribution[2], 0.8, 1e-9);
 }
 
+TEST(SteadyState, ZeroRateEdgeOutOfBsccIsIgnored) {
+  // Ctmc accepts explicit zero rates and the SCC pass ignores them, so
+  // {0, 1} is a BSCC even though row 1 stores an entry into state 2.
+  linalg::CsrBuilder builder(3, 3);
+  builder.add(0, 1, 3.0);
+  builder.add(1, 0, 1.0);
+  builder.add(1, 2, 0.0);
+  const Ctmc chain(std::move(builder).build());
+  const auto result = steady_state(chain, start_in(3, 0));
+  EXPECT_EQ(result.bscc_count, 2u);
+  EXPECT_NEAR(result.distribution[0], 0.25, 1e-12);
+  EXPECT_NEAR(result.distribution[1], 0.75, 1e-12);
+  EXPECT_EQ(result.distribution[2], 0.0);
+}
+
 TEST(SteadyState, InitialDistributionInsideBsccIsRespected) {
   // Two disconnected absorbing states; start 30/70 mixed.
   linalg::CsrBuilder builder(2, 2);
@@ -124,6 +179,76 @@ TEST(SteadyState, AcceptsSubdistributions) {
   const Ctmc chain = two_state(1.0, 1.0);
   const auto result = steady_state(chain, {0.5, 0.0});
   EXPECT_NEAR(result.distribution[0] + result.distribution[1], 0.5, 1e-9);
+}
+
+/// The 36-state chain of random model seed 56 (the seed `autosec-verify
+/// --seed 56` draws): one BSCC covering every state, and state 0 carries
+/// about 1e-6 of the long-run mass while state 33 carries 0.58. With state 0
+/// as the visit-measure reference, ν reaches 5e4 and the Gauss-Seidel rung
+/// stalls at Δ≈5e-7 for a million sweeps; the in-flow reference settles it
+/// in a few dozen.
+Ctmc light_first_state_chain() {
+  const auto compiled = std::make_shared<const symbolic::CompiledModel>(
+      symbolic::compile(::autosec::testing::random_model(56)));
+  return symbolic::explore(compiled).to_ctmc();
+}
+
+TEST(SteadyState, LightLowestStateMatchesOracleUnderEveryMethod) {
+  const Ctmc chain = light_first_state_chain();
+  const std::vector<double> initial = start_in(chain.state_count(), 0);
+  const std::vector<double> expected =
+      ::autosec::testing::oracle_steady_state(chain, initial);
+  // The shape under test: a light state 0 inside a single BSCC.
+  ASSERT_LT(expected[0], 1e-5);
+  ASSERT_GT(*std::max_element(expected.begin(), expected.end()), 0.1);
+  for (const linalg::FixpointMethod method :
+       {linalg::FixpointMethod::kAuto, linalg::FixpointMethod::kGaussSeidel,
+        linalg::FixpointMethod::kKrylov}) {
+    SteadyStateOptions options;
+    options.solver.method = method;
+    const SteadyStateResult result = steady_state(chain, initial, options);
+    EXPECT_EQ(result.bscc_count, 1u);
+    EXPECT_EQ(result.solver_fallbacks, 0u) << static_cast<int>(method);
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_NEAR(result.distribution[i], expected[i], 1e-10)
+          << "method " << static_cast<int>(method) << " state " << i;
+    }
+  }
+}
+
+TEST(FallbackLadder, KrylovBreakdownInSteadyStateFallsBackToSameAnswer) {
+  const Ctmc chain = testing::figure3_chain(1.3, 0.7, 11.0, 5.0);
+  util::fault::disarm_all();
+  const SteadyStateResult clean = steady_state(chain, start_in(3, 0));
+  EXPECT_EQ(clean.solver_fallbacks, 0u);
+
+  util::fault::arm_site("krylov.breakdown");
+  const SteadyStateResult laddered = steady_state(chain, start_in(3, 0));
+  util::fault::disarm_all();
+  EXPECT_GE(laddered.solver_fallbacks, 1u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_NEAR(laddered.distribution[i], clean.distribution[i], 1e-10) << i;
+  }
+}
+
+TEST(FallbackLadder, StationaryFaultReportsDivergedNotWrongAnswer) {
+  // Every rung faulted: the stationary solve must unwind as a typed
+  // solver_diverged failure at stage steady_state, never return a
+  // distribution.
+  const Ctmc chain = testing::figure3_chain();
+  util::fault::disarm_all();
+  util::fault::arm_site("krylov.breakdown");
+  util::fault::arm_site("gauss_seidel.diverge");
+  util::fault::arm_site("power.diverge");
+  try {
+    steady_state(chain, start_in(3, 0));
+    util::fault::disarm_all();
+    FAIL() << "steady_state returned although every rung was faulted";
+  } catch (const util::EngineFailure& failure) {
+    util::fault::disarm_all();
+    EXPECT_EQ(failure.code(), util::FailureCode::kSolverDiverged);
+    EXPECT_EQ(failure.stage(), "steady_state");
+  }
 }
 
 class SteadyStateRates : public ::testing::TestWithParam<std::tuple<double, double>> {};

@@ -66,77 +66,46 @@ TEST(SolveFixpoint, DimensionMismatchThrows) {
   EXPECT_THROW(solve_fixpoint(A, {1.0}), std::invalid_argument);
 }
 
-// Transposed generator of the 2-state chain with rates a: 0->1 and b: 1->0.
-CsrMatrix two_state_transposed(double a, double b) {
+/// x = A·x + b for the gambler system of SolveFixpoint.TwoStateAbsorption.
+CsrMatrix gambler_matrix() {
   CsrBuilder builder(2, 2);
-  builder.add(0, 0, -a);
-  builder.add(0, 1, b);
-  builder.add(1, 0, a);
-  builder.add(1, 1, -b);
+  builder.add(0, 1, 0.7);
+  builder.add(1, 0, 0.5);
   return std::move(builder).build();
-}
-
-TEST(Stationary, TwoStateChain) {
-  const auto result = stationary_from_transposed(two_state_transposed(2.0, 6.0));
-  ASSERT_TRUE(result.converged);
-  // pi = (b, a) / (a+b).
-  EXPECT_NEAR(result.x[0], 0.75, 1e-10);
-  EXPECT_NEAR(result.x[1], 0.25, 1e-10);
-}
-
-TEST(Stationary, SingleStateIsPointMass) {
-  CsrBuilder builder(1, 1);
-  const auto result = stationary_from_transposed(std::move(builder).build());
-  ASSERT_TRUE(result.converged);
-  EXPECT_DOUBLE_EQ(result.x[0], 1.0);
-}
-
-TEST(Stationary, ThreeStateCycle) {
-  // 0 -> 1 -> 2 -> 0 with unit rates: uniform stationary distribution.
-  CsrBuilder builder(3, 3);
-  for (uint32_t i = 0; i < 3; ++i) {
-    builder.add((i + 1) % 3, i, 1.0);  // transposed: incoming edge
-    builder.add(i, i, -1.0);
-  }
-  const auto result = stationary_from_transposed(std::move(builder).build());
-  ASSERT_TRUE(result.converged);
-  for (int i = 0; i < 3; ++i) EXPECT_NEAR(result.x[i], 1.0 / 3.0, 1e-10);
-}
-
-TEST(Stationary, StateWithoutExitRateThrows) {
-  CsrBuilder builder(2, 2);
-  builder.add(1, 0, 1.0);  // state 0 flows into 1, but state 1 has no exit
-  builder.add(0, 0, -1.0);
-  const CsrMatrix Qt = std::move(builder).build();
-  EXPECT_THROW(stationary_from_transposed(Qt), std::runtime_error);
 }
 
 TEST(PowerIteration, MatchesGaussSeidelOnUniformizedChain) {
   // Uniformize the 2-state chain (a=2, b=6) with q=10:
-  // P = [[0.8, 0.2], [0.6, 0.4]].
-  CsrBuilder builder(2, 2);
-  builder.add(0, 0, 0.8);
-  builder.add(0, 1, 0.2);
-  builder.add(1, 0, 0.6);
-  builder.add(1, 1, 0.4);
-  const auto result = stationary_power_iteration(std::move(builder).build());
-  ASSERT_TRUE(result.converged);
-  EXPECT_NEAR(result.x[0], 0.75, 1e-8);
-  EXPECT_NEAR(result.x[1], 0.25, 1e-8);
+  // P = [[0.8, 0.2], [0.6, 0.4]]. With reference state 0 the visit measure
+  // solves ν_1 = ν_1·P_11 + P_01, i.e. A = [0.4], b = [0.2], ν_1 = 1/3, and
+  // π ∝ (1, ν_1) = (0.75, 0.25). The power rung and Gauss-Seidel agree.
+  CsrBuilder builder(1, 1);
+  builder.add(0, 0, 0.4);
+  const CsrMatrix A = std::move(builder).build();
+  const auto power = solve_fixpoint_power(A, {0.2});
+  IterativeOptions gs;
+  gs.method = FixpointMethod::kGaussSeidel;
+  const auto reference = solve_fixpoint(A, {0.2}, gs);
+  ASSERT_TRUE(power.converged);
+  ASSERT_TRUE(reference.converged);
+  EXPECT_NEAR(power.x[0], 1.0 / 3.0, 1e-10);
+  EXPECT_NEAR(power.x[0], reference.x[0], 1e-10);
+  EXPECT_NEAR(1.0 / (1.0 + power.x[0]), 0.75, 1e-10);
 }
 
 TEST(PowerIteration, RequiresSquareMatrix) {
   CsrBuilder builder(1, 2);
   builder.add(0, 1, 1.0);
-  const CsrMatrix P = std::move(builder).build();
-  EXPECT_THROW(stationary_power_iteration(P), std::invalid_argument);
+  const CsrMatrix A = std::move(builder).build();
+  EXPECT_THROW(solve_fixpoint_power(A, {1.0}), std::invalid_argument);
 }
 
 TEST(IterativeOptions, MaxIterationsRespected) {
   IterativeOptions options;
+  options.method = FixpointMethod::kGaussSeidel;
   options.max_iterations = 1;
   options.tolerance = 0.0;  // unreachable
-  const auto result = stationary_from_transposed(two_state_transposed(2.0, 6.0), options);
+  const auto result = solve_fixpoint(gambler_matrix(), {0.3, 0.0}, options);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 1u);
 }
@@ -220,13 +189,6 @@ TEST(SolveFixpointKrylov, SolvesSmallClosedFormSystem) {
 
 // --- fallback ladder under injected faults (util/fault.hpp) ---
 
-CsrMatrix gambler_matrix() {
-  CsrBuilder builder(2, 2);
-  builder.add(0, 1, 0.7);
-  builder.add(1, 0, 0.5);
-  return std::move(builder).build();
-}
-
 TEST(FallbackLadder, ForcedKrylovBreakdownMatchesDirectGaussSeidel) {
   // A breakdown in rung 1 must hand the UNCHANGED problem to rung 2: the
   // ladder's Gauss-Seidel answer is bit-for-bit the direct Gauss-Seidel one.
@@ -284,28 +246,6 @@ TEST(FallbackLadder, AllRungsFaultedReportsFullDiagnostics) {
     EXPECT_FALSE(attempt.converged) << attempt.method;
     EXPECT_TRUE(attempt.diverged) << attempt.method;
   }
-}
-
-TEST(FallbackLadder, StationaryFaultReportsDivergedNotWrongAnswer) {
-  CsrBuilder builder(2, 2);
-  builder.add(0, 0, -1.0);
-  builder.add(0, 1, 2.0);
-  builder.add(1, 0, 1.0);
-  builder.add(1, 1, -2.0);
-  const CsrMatrix Qt = std::move(builder).build();
-
-  util::fault::disarm_all();
-  util::fault::arm_site("stationary.diverge");
-  const IterativeResult faulted = stationary_from_transposed(Qt);
-  util::fault::disarm_all();
-  EXPECT_FALSE(faulted.converged);
-  EXPECT_TRUE(faulted.diverged);
-
-  // The power fallback solves the same chain independently.
-  const IterativeResult power = stationary_power_from_transposed(Qt);
-  ASSERT_TRUE(power.converged);
-  EXPECT_NEAR(power.x[0], 2.0 / 3.0, 1e-9);
-  EXPECT_NEAR(power.x[1], 1.0 / 3.0, 1e-9);
 }
 
 }  // namespace

@@ -22,13 +22,17 @@ committed baselines in bench/baselines/:
     engine session for the last explored space) must not grow by more than
     --max-bytes-per-state-growth (default 1.1) over the baseline — the guard
     that keeps the compact exploration engine compact;
-  * solve-kernel throughput (gauge ``solve.mat_vec_per_sec``, matrix-vector
-    products over the solve span) must not fall below
-    --min-throughput-fraction (default 0.75) of the baseline — the guard
-    that keeps the SELL-C-sigma transient kernel from quietly regressing.
+  * the engine's work — the counters ``ctmc.matrix_vector_products``,
+    ``explore.states`` and ``explore.transitions``, and the sum of every
+    ``solver.*_iterations`` counter — must not exceed the baseline at all.
+    These counts do not depend on the machine or the thread count, so an
+    exact ceiling catches a change that does more work long before a wall
+    ratio could; a count below the baseline passes (refresh the baseline to
+    lock the gain in). A rate such as ``solve.mat_vec_per_sec`` is not
+    gated: it rises when redundant products are added.
 
-Memory gates are skipped for baselines that predate the gauge (refresh the
-baseline to arm them).
+Memory and work gates are skipped for baselines that predate the gauge or
+counter (refresh the baseline to arm them).
 
 Exit status 0 when everything holds, 1 with a per-file report otherwise.
 Baselines are refreshed by re-running the benches with
@@ -47,27 +51,34 @@ FAULT_OVERHEAD_GAUGE = "bench.fault_overhead_fraction"
 CHECKPOINT_OVERHEAD_GAUGE = "bench.checkpoint_overhead_fraction"
 RSS_GAUGE = "bench.peak_rss_mb"
 BYTES_PER_STATE_GAUGE = "explore.bytes_per_state"
-THROUGHPUT_GAUGE = "solve.mat_vec_per_sec"
+WORK_COUNTERS = ("ctmc.matrix_vector_products", "explore.states",
+                 "explore.transitions")
+SOLVER_ITERATIONS = "solver.*_iterations"
 
 
-def check_throughput_floor(name, baseline, current, fraction, failures):
-    """Gate solve throughput against a fraction of the baseline (higher is
-    better, so this is a floor, not a growth ceiling)."""
-    base_value = baseline.get(THROUGHPUT_GAUGE)
-    cur_value = current.get(THROUGHPUT_GAUGE)
-    if base_value is None or base_value <= 0:
-        return  # baseline predates the gauge: nothing to compare against
-    if cur_value is None:
-        failures.append(f"{name}: {THROUGHPUT_GAUGE} gauge missing from current run")
-        return
-    ratio = cur_value / base_value
-    status = "ok" if ratio >= fraction else "REGRESSION"
-    print(f"{name}: {THROUGHPUT_GAUGE} {cur_value:.0f} vs baseline "
-          f"{base_value:.0f} ({ratio:.2f}x) {status}")
-    if ratio < fraction:
-        failures.append(
-            f"{name}: {THROUGHPUT_GAUGE} {cur_value:.0f} is only {ratio:.2f}x "
-            f"the baseline {base_value:.0f} (floor {fraction:.2f}x)")
+def work_counts(counters):
+    """The gated work counts of one metrics file; the solver iterations are
+    summed over every method, so a solve that moves between ladder rungs is
+    judged by its total."""
+    counts = {name: counters[name] for name in WORK_COUNTERS if name in counters}
+    iterations = [value for name, value in counters.items()
+                  if name.startswith("solver.") and name.endswith("_iterations")]
+    if iterations:
+        counts[SOLVER_ITERATIONS] = sum(iterations)
+    return counts
+
+
+def check_work_ceilings(name, baseline, current, failures):
+    """Gate each work count at exactly its baseline value (lower is better).
+    A counter absent from the current run counts as zero work."""
+    current_counts = work_counts(current)
+    for counter, base_value in sorted(work_counts(baseline).items()):
+        cur_value = current_counts.get(counter, 0)
+        status = "ok" if cur_value <= base_value else "REGRESSION"
+        print(f"{name}: {counter} {cur_value} vs baseline {base_value} {status}")
+        if cur_value > base_value:
+            failures.append(f"{name}: {counter} {cur_value} exceeds the "
+                            f"baseline {base_value} (exact ceiling)")
 
 
 def check_growth_ratio(name, gauge, baseline, current, limit, failures):
@@ -89,12 +100,13 @@ def check_growth_ratio(name, gauge, baseline, current, limit, failures):
             f"baseline {base_value:.1f} (limit {limit:.2f}x)")
 
 
-def load_gauges(path):
+def load_metrics(path):
+    """(gauges, counters) of one autosec-metrics-v1 file."""
     with open(path) as handle:
         data = json.load(handle)
     if data.get("schema") != "autosec-metrics-v1":
         raise ValueError(f"{path}: unexpected schema {data.get('schema')!r}")
-    return data.get("gauges", {})
+    return data.get("gauges", {}), data.get("counters", {})
 
 
 def main():
@@ -117,9 +129,6 @@ def main():
     parser.add_argument("--max-bytes-per-state-growth", type=float, default=1.1,
                         help="allowed explore.bytes_per_state ratio "
                              "current/baseline")
-    parser.add_argument("--min-throughput-fraction", type=float, default=0.75,
-                        help="floor on solve.mat_vec_per_sec as a fraction of "
-                             "the baseline")
     args = parser.parse_args()
 
     baseline_dir = pathlib.Path(args.baseline_dir)
@@ -136,8 +145,8 @@ def main():
             failures.append(f"{baseline_path.name}: missing from {current_dir} "
                             "(bench did not run?)")
             continue
-        baseline = load_gauges(baseline_path)
-        current = load_gauges(current_path)
+        baseline, baseline_counters = load_metrics(baseline_path)
+        current, current_counters = load_metrics(current_path)
 
         base_wall = baseline.get(WALL_GAUGE)
         cur_wall = current.get(WALL_GAUGE)
@@ -168,8 +177,8 @@ def main():
                            args.max_rss_growth, failures)
         check_growth_ratio(baseline_path.name, BYTES_PER_STATE_GAUGE, baseline,
                            current, args.max_bytes_per_state_growth, failures)
-        check_throughput_floor(baseline_path.name, baseline, current,
-                               args.min_throughput_fraction, failures)
+        check_work_ceilings(baseline_path.name, baseline_counters,
+                            current_counters, failures)
 
         fault_overhead = current.get(FAULT_OVERHEAD_GAUGE)
         if fault_overhead is not None:
