@@ -35,11 +35,7 @@ bool overrides_require_single_models(const AnalysisOptions& options) {
 }
 
 void accumulate(csl::SessionStats& total, const csl::SessionStats& part) {
-  if (total.engine.empty()) {
-    total.engine = part.engine;
-  } else if (!part.engine.empty() && part.engine != total.engine) {
-    total.engine = "mixed";  // kAuto may resolve differently per pair
-  }
+  if (total.engine.empty()) total.engine = part.engine;
   total.compile_count += part.compile_count;
   total.explore_count += part.explore_count;
   total.uniformize_count += part.uniformize_count;
@@ -219,9 +215,9 @@ BatchSession make_batch_session(const Architecture& architecture,
   return batch;
 }
 
-BatchSession make_pair_session(const Architecture& architecture,
-                               const std::string& message, SecurityCategory category,
-                               const AnalysisOptions& options) {
+TransformOptions pair_transform_options(const std::string& message,
+                                        SecurityCategory category,
+                                        const AnalysisOptions& options) {
   TransformOptions transform_options;
   transform_options.message = message;
   transform_options.category = category;
@@ -230,12 +226,19 @@ BatchSession make_pair_session(const Architecture& architecture,
   transform_options.guardian_requires_foothold = options.guardian_requires_foothold;
   transform_options.include_reliability = options.include_reliability;
   transform_options.model_type = options.model_type;
+  return transform_options;
+}
+
+BatchSession make_pair_session(const Architecture& architecture,
+                               const std::string& message, SecurityCategory category,
+                               const AnalysisOptions& options) {
   BatchSession pair;
   pair.architecture_name = architecture.name;
   pair.messages = {message};
   pair.categories = {category};
   pair.session = std::make_shared<csl::EngineSession>(
-      transform(architecture, transform_options), session_options(options));
+      transform(architecture, pair_transform_options(message, category, options)),
+      session_options(options));
   return pair;
 }
 

@@ -99,6 +99,7 @@ class SecurityAnalysis {
   /// reward structure "exposure" are available).
   double check(const std::string& property) const;
 
+  const AnalysisOptions& options() const { return options_; }
   const symbolic::StateSpace& space() const { return session_->space(); }
   const std::shared_ptr<csl::EngineSession>& session() const { return session_; }
   double build_seconds() const;
@@ -137,6 +138,12 @@ BatchSession make_batch_session(
         SecurityCategory::kConfidentiality, SecurityCategory::kIntegrity,
         SecurityCategory::kAvailability},
     const std::vector<std::string>& messages = {});
+
+/// Transform options of the single (message, category) model under
+/// `options` — what make_pair_session transforms with.
+TransformOptions pair_transform_options(const std::string& message,
+                                        SecurityCategory category,
+                                        const AnalysisOptions& options);
 
 /// The single-pair counterpart of make_batch_session: one (message, category)
 /// model wrapped in a session, nothing compiled or explored until first use.

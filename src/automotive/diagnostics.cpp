@@ -5,51 +5,41 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ctmc/rewards.hpp"
 #include "ctmc/transient.hpp"
 #include "symbolic/explorer.hpp"
+#include "util/json.hpp"
 
 namespace autosec::automotive {
-
-namespace {
-
-TransformOptions transform_options_from(const std::string& message,
-                                        SecurityCategory category,
-                                        const AnalysisOptions& options) {
-  TransformOptions out;
-  out.message = message;
-  out.category = category;
-  out.nmax = options.nmax;
-  out.literal_patch_guard = options.literal_patch_guard;
-  out.guardian_requires_foothold = options.guardian_requires_foothold;
-  out.include_reliability = options.include_reliability;
-  return out;
-}
-
-/// Exposure fraction of the model with the given constant overrides.
-double exposure_with(const symbolic::Model& model, const AnalysisOptions& options,
-                     std::vector<std::pair<std::string, symbolic::Value>> overrides) {
-  for (const auto& base : options.constant_overrides) overrides.push_back(base);
-  const symbolic::StateSpace space =
-      symbolic::explore(symbolic::compile(model, overrides));
-  const ctmc::Ctmc chain = space.to_ctmc();
-  return ctmc::expected_time_fraction(chain, space.initial_distribution(),
-                                      space.label_mask(kViolatedLabel),
-                                      options.horizon_years) ;
-}
-
-}  // namespace
 
 std::vector<Criticality> criticality_analysis(const Architecture& architecture,
                                               const std::string& message,
                                               SecurityCategory category,
-                                              const CriticalityOptions& options) {
-  const symbolic::Model model = transform(
-      architecture, transform_options_from(message, category, options.analysis));
+                                              const CriticalityOptions& options,
+                                              csl::SessionStats* stats) {
+  // One session answers every perturbed exposure: each perturbation re-keys
+  // its constant overrides, and every explore and solve runs under the
+  // request's budget, cancel token and solver plan.
+  const BatchSession pair =
+      make_pair_session(architecture, message, category, options.analysis);
+  csl::EngineSession& session = *pair.session;
   // The compiled model's constant table gives every rate with its effective
   // value (after any base overrides).
-  const symbolic::CompiledModel compiled =
-      symbolic::compile(model, options.analysis.constant_overrides);
+  const symbolic::CompiledModel compiled = symbolic::compile(
+      transform(architecture, pair_transform_options(message, category, options.analysis)),
+      options.analysis.constant_overrides);
+  const double horizon = options.analysis.horizon_years;
+  const std::string exposure =
+      "R{\"exposure\"}=? [ C<=" + util::json_number(horizon) + " ]";
+  // Exposure fraction with one rate perturbed; the perturbed value comes
+  // first, so it wins over a base override of the same constant.
+  auto exposure_with = [&](const std::string& name, double value) {
+    std::vector<std::pair<std::string, symbolic::Value>> overrides = {
+        {name, symbolic::Value::of(value)}};
+    for (const auto& base : options.analysis.constant_overrides) overrides.push_back(base);
+    session.set_constant_overrides(std::move(overrides));
+    session.drop_inactive_stages();  // no perturbed value is visited twice
+    return session.check(exposure) / horizon;
+  };
 
   std::vector<Criticality> result;
   const double h = options.relative_step;
@@ -58,10 +48,8 @@ std::vector<Criticality> criticality_analysis(const Architecture& architecture,
     const double base = value.as_number();
     if (base <= 0.0) continue;
 
-    const double low = exposure_with(model, options.analysis,
-                                     {{name, symbolic::Value::of(base / (1.0 + h))}});
-    const double high = exposure_with(model, options.analysis,
-                                      {{name, symbolic::Value::of(base * (1.0 + h))}});
+    const double low = exposure_with(name, base / (1.0 + h));
+    const double high = exposure_with(name, base * (1.0 + h));
     Criticality c;
     c.constant = name;
     c.base_value = base;
@@ -73,6 +61,7 @@ std::vector<Criticality> criticality_analysis(const Architecture& architecture,
   std::sort(result.begin(), result.end(), [](const Criticality& a, const Criticality& b) {
     return std::abs(a.elasticity) > std::abs(b.elasticity);
   });
+  if (stats != nullptr) *stats = session.stats();
   return result;
 }
 
@@ -80,7 +69,12 @@ BreachAttributionResult first_breach_attribution(const Architecture& architectur
                                                  const std::string& message,
                                                  SecurityCategory category,
                                                  const AnalysisOptions& options) {
-  const SecurityAnalysis analysis(architecture, message, category, options);
+  return first_breach_attribution(
+      architecture, SecurityAnalysis(architecture, message, category, options));
+}
+
+BreachAttributionResult first_breach_attribution(const Architecture& architecture,
+                                                 const SecurityAnalysis& analysis) {
   const symbolic::StateSpace& space = analysis.space();
   const ctmc::Ctmc chain = space.to_ctmc();
   const std::vector<bool> violated = space.label_mask(kViolatedLabel);
@@ -90,7 +84,7 @@ BreachAttributionResult first_breach_attribution(const Architecture& architectur
   // exactly that state.
   const ctmc::Ctmc stopped = chain.with_absorbing(violated);
   const std::vector<double> mass = ctmc::transient_distribution(
-      stopped, space.initial_distribution(), options.horizon_years);
+      stopped, space.initial_distribution(), analysis.options().horizon_years);
 
   BreachAttributionResult result;
   for (size_t s = 0; s < mass.size(); ++s) {

@@ -40,11 +40,15 @@ struct CriticalityOptions {
 
 /// Elasticities for every rate constant of the (message, category) model,
 /// sorted by descending |elasticity|. Constants with value 0 are skipped
-/// (nothing to perturb multiplicatively).
+/// (nothing to perturb multiplicatively). Every perturbed model is explored
+/// and solved through one engine session under options.analysis (budget,
+/// cancel token, solver plan); `stats`, when non-null, receives that
+/// session's counters (one explore per perturbed value).
 std::vector<Criticality> criticality_analysis(const Architecture& architecture,
                                               const std::string& message,
                                               SecurityCategory category,
-                                              const CriticalityOptions& options = {});
+                                              const CriticalityOptions& options = {},
+                                              csl::SessionStats* stats = nullptr);
 
 struct BreachAttribution {
   std::string component;  ///< ECU name, "bus <name>", or "protection"
@@ -66,6 +70,11 @@ BreachAttributionResult first_breach_attribution(const Architecture& architectur
                                                  const std::string& message,
                                                  SecurityCategory category,
                                                  const AnalysisOptions& options = {});
+/// The same decomposition on an analysis already built for the pair (its
+/// horizon and state space), so a caller that also needs quantiles explores
+/// the model once.
+BreachAttributionResult first_breach_attribution(const Architecture& architecture,
+                                                 const SecurityAnalysis& analysis);
 
 /// Breach-time quantile: the time t (years) by which the message has been
 /// violated at least once with probability `quantile` — "by when are q% of

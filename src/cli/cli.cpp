@@ -178,7 +178,7 @@ void attach_checkpoint(ModelOptions& options) {
   if (!options.logarithmic) identity += ";linear=1";
   // Solver-plan knobs change floating-point evaluation order, so two runs
   // only promise bit-identical values when the plan matches too.
-  identity += ";plan=" + std::to_string(static_cast<int>(options.analysis.plan.engine)) +
+  identity += ";plan=" + std::string(symbolic::engine_token(options.analysis.plan.engine)) +
               ',' + std::to_string(static_cast<int>(options.analysis.plan.reduction));
 
   csl::CheckpointOptions checkpoint_options;
@@ -261,7 +261,7 @@ ModelOptions parse_model_options(Args& args) {
       const auto parsed = symbolic::parse_engine_token(engine);
       if (!parsed) {
         throw UsageError("unknown engine '" + engine +
-                         "' (auto|classic|compact)");
+                         "' (auto|compact)");
       }
       options.analysis.plan.engine = *parsed;
     } else if (*flag == "--reduction") {
@@ -553,8 +553,9 @@ int command_diagnose(Args& args, std::ostream& out) {
 
   out << "\n== first-breach attribution ==\n";
   out << "(which components are exploited when the first violation occurs)\n\n";
-  const auto attribution = automotive::first_breach_attribution(
-      arch, options.message, category, options.analysis);
+  const automotive::SecurityAnalysis analysis(arch, options.message, category,
+                                              options.analysis);
+  const auto attribution = automotive::first_breach_attribution(arch, analysis);
   util::TextTable attribution_table({"component", "P[first breach involves it]",
                                      "share"});
   for (const automotive::BreachAttribution& a : attribution.attributions) {
@@ -570,8 +571,6 @@ int command_diagnose(Args& args, std::ostream& out) {
       << "\n";
 
   out << "\n== breach-time quantiles ==\n";
-  const automotive::SecurityAnalysis analysis(arch, options.message, category,
-                                              options.analysis);
   util::TextTable quantile_table({"quantile", "breached by (years)"});
   for (const double q : {0.05, 0.25, 0.5, 0.95}) {
     const double t = automotive::breach_time_quantile(analysis, q);
@@ -726,11 +725,10 @@ void print_help(std::ostream& out) {
          "completed runs always flush). Works with analyze, check, sweep,\n"
          "and compare.\n"
          "\n"
-         "--engine auto|classic|compact picks the exploration state store\n"
-         "(docs/engine.md): classic keeps one valuation vector per state;\n"
-         "compact bit-packs and interns states (an order of magnitude less\n"
-         "memory on wide fleet models) and enables symmetry reduction over\n"
-         "interchangeable ECU modules. auto (the default) picks per model.\n"
+         "--engine auto|compact (docs/engine.md): both explore into the one\n"
+         "bit-packed state store; compact additionally enables symmetry\n"
+         "reduction over interchangeable ECU modules (the big-fleet path).\n"
+         "auto (the default) explores the plain state space.\n"
          "--reduction auto|on|off overrides when the symmetry reduction runs\n"
          "(auto: only with an explicitly requested compact engine). Reduced\n"
          "spaces answer symmetric properties exactly and reject asymmetric\n"

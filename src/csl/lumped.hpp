@@ -2,9 +2,11 @@
 // of the paper's Section 5: before running the numerical engine, the state
 // space is reduced by ordinary lumping w.r.t. exactly the observations the
 // property needs (its state formulas, its reward structure, and the initial
-// state). The quotient result is exact, so this is a pure performance
-// optimization; bench_ablation_lumping quantifies the reduction on the
-// case-study models.
+// state). The quotient is built as a StateSpace of its own and checked by an
+// ordinary EngineSession, so lumping is a reduction in front of the engine,
+// not a second evaluator. The quotient result is exact, so this is a pure
+// performance optimization; bench_ablation_lumping quantifies the reduction
+// on the case-study models.
 #pragma once
 
 #include <string_view>

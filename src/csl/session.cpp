@@ -98,6 +98,10 @@ void EngineSession::set_constant_overrides(
   active_ = nullptr;  // re-resolved (and possibly rebuilt) on next use
 }
 
+void EngineSession::drop_inactive_stages() {
+  std::erase_if(cache_, [&](const auto& entry) { return entry.first != active_key_; });
+}
+
 ctmc::TransientOptions EngineSession::transient_options() const {
   ctmc::TransientOptions transient = options_.transient;
   if (!transient.cancelled) transient.cancelled = poll_hook(options_.cancel);

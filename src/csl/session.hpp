@@ -73,8 +73,8 @@ struct SessionStats {
   /// across every solve of the session — 0 when every solve converged on its
   /// first rung; surfaced per request by the serving layer.
   size_t solver_fallbacks = 0;
-  /// Resolved state-store backend of the last explore ("classic"/"compact");
-  /// empty until the space is built. Surfaced per request by the serving
+  /// State store of the last explore ("compact"); empty until the space is
+  /// built. Surfaced per request by the serving
   /// layer and recorded in the metrics registry.
   std::string engine;
   double compile_seconds = 0.0;
@@ -118,6 +118,11 @@ class EngineSession {
   /// Throws PropertyError on a space-adopting session.
   void set_constant_overrides(
       std::vector<std::pair<std::string, symbolic::Value>> overrides);
+
+  /// Drop every cached stage set except the active key's. For callers that
+  /// re-key through override sets they never revisit (a criticality
+  /// perturbation loop), so memory holds one stage set, not one per key.
+  void drop_inactive_stages();
 
   /// Swap the cooperative cancellation token. Stage boundaries and solver
   /// sweeps poll the active token and unwind with util::Cancelled once it is

@@ -11,10 +11,9 @@ void apply_plan(const SolverPlan& plan, EngineOptions& options) {
 }
 
 SolverPlan resolve_plan(SolverPlan plan, const symbolic::StateSpace& space) {
-  // The space already knows which backend and reduction it was built with.
-  if (const auto engine = symbolic::parse_engine_token(space.engine_name())) {
-    plan.engine = *engine;
-  }
+  // The space already knows which reduction it was built with; with the
+  // reduction pinned, the engine token no longer changes anything.
+  plan.engine = symbolic::ExplorationEngine::kCompact;
   plan.reduction = space.reduced() ? symbolic::SymmetryReduction::kOn
                                    : symbolic::SymmetryReduction::kOff;
   return plan;

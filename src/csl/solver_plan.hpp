@@ -24,7 +24,7 @@ namespace autosec::csl {
 struct EngineOptions;
 
 struct SolverPlan {
-  /// State-store backend of exploration (classic | compact | auto).
+  /// Exploration engine (auto | compact; compact turns kAuto reduction on).
   symbolic::ExplorationEngine engine = symbolic::ExplorationEngine::kAuto;
   /// On-the-fly symmetry reduction policy (ctmc models only).
   symbolic::SymmetryReduction reduction = symbolic::SymmetryReduction::kAuto;
@@ -40,7 +40,9 @@ struct SolverPlan {
 void apply_plan(const SolverPlan& plan, EngineOptions& options);
 
 /// Resolve the plan's kAuto knobs against a built state space: engine and
-/// reduction come back as what the space was actually built with. `method`
+/// reduction come back as what the space was actually built with (every
+/// space lives in the compact store, and the reduction is pinned on or
+/// off). `method`
 /// stays as requested when kAuto, because it resolves per solve via the
 /// fallback ladder.
 SolverPlan resolve_plan(SolverPlan plan, const symbolic::StateSpace& space);

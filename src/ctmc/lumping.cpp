@@ -19,44 +19,6 @@ std::vector<double> LumpingResult::aggregate_distribution(
   return out;
 }
 
-std::vector<bool> LumpingResult::aggregate_mask(const std::vector<bool>& original) const {
-  if (original.size() != block_of.size()) {
-    throw std::invalid_argument("aggregate_mask: size mismatch");
-  }
-  std::vector<int8_t> value(block_count, -1);
-  for (size_t s = 0; s < original.size(); ++s) {
-    const int8_t bit = original[s] ? 1 : 0;
-    int8_t& slot = value[block_of[s]];
-    if (slot == -1) {
-      slot = bit;
-    } else if (slot != bit) {
-      throw std::invalid_argument("aggregate_mask: mask is not block-constant");
-    }
-  }
-  std::vector<bool> out(block_count, false);
-  for (size_t b = 0; b < block_count; ++b) out[b] = value[b] == 1;
-  return out;
-}
-
-std::vector<double> LumpingResult::aggregate_rewards(
-    const std::vector<double>& original) const {
-  if (original.size() != block_of.size()) {
-    throw std::invalid_argument("aggregate_rewards: size mismatch");
-  }
-  std::vector<double> out(block_count, 0.0);
-  std::vector<bool> seen(block_count, false);
-  for (size_t s = 0; s < original.size(); ++s) {
-    const uint32_t b = block_of[s];
-    if (!seen[b]) {
-      out[b] = original[s];
-      seen[b] = true;
-    } else if (out[b] != original[s]) {
-      throw std::invalid_argument("aggregate_rewards: rewards not block-constant");
-    }
-  }
-  return out;
-}
-
 LumpingResult lump(const Ctmc& chain,
                    const std::vector<std::vector<double>>& signatures) {
   const size_t n = chain.state_count();

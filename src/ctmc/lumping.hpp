@@ -31,12 +31,6 @@ struct LumpingResult {
 
   /// Push a distribution over original states down to the quotient.
   std::vector<double> aggregate_distribution(const std::vector<double>& original) const;
-  /// Push a per-state mask down to the quotient (must be block-constant,
-  /// which holds when it was part of the signatures; throws otherwise).
-  std::vector<bool> aggregate_mask(const std::vector<bool>& original) const;
-  /// Push a block-constant reward vector down to the quotient (throws if the
-  /// rewards differ within a block).
-  std::vector<double> aggregate_rewards(const std::vector<double>& original) const;
 };
 
 /// Compute the coarsest ordinarily-lumpable partition refining the signature

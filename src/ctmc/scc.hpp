@@ -30,7 +30,7 @@ struct SccDecomposition {
 /// (must be square). Zero-weight entries are ignored.
 SccDecomposition strongly_connected_components(const linalg::CsrMatrix& adjacency);
 
-/// The classic Prob0/Prob1 reachability precomputation (graph analysis, no
+/// The standard Prob0/Prob1 reachability precomputation (graph analysis, no
 /// numerics), over the target-absorbed graph.
 struct ReachabilityClassification {
   /// Pr[F target] > 0: the state can reach the target at all.

@@ -1,5 +1,6 @@
 #include "linalg/krylov.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -54,10 +55,26 @@ IterativeResult solve_fixpoint_krylov(const CsrMatrix& A,
     result.converged = true;
     return result;
   }
-  const std::vector<double> r_hat = r;  // shadow residual
+  std::vector<double> r_hat = r;  // shadow residual
 
   std::vector<double> p(n, 0.0), v(n, 0.0), s(n, 0.0), t(n, 0.0);
   double rho = 1.0, alpha = 1.0, omega = 1.0;
+
+  // A ρ or r̂·v breakdown with r ≠ 0 means the shadow residual went
+  // orthogonal, not that the system is solved (b with one or two nonzeros —
+  // a ring-shaped BSCC's visit measure — hits this within a few steps).
+  // Restart the recurrence from the current iterate with r̂ := r. A second
+  // breakdown before the restarted recurrence completes a step gives up.
+  bool restarted = false;
+  const auto restart = [&] {
+    if (restarted) return false;
+    restarted = true;
+    r_hat = r;
+    rho = alpha = omega = 1.0;
+    std::fill(p.begin(), p.end(), 0.0);
+    std::fill(v.begin(), v.end(), 0.0);
+    return true;
+  };
 
   double best_norm = max_norm(r);
   size_t stagnant = 0;
@@ -71,7 +88,8 @@ IterativeResult solve_fixpoint_krylov(const CsrMatrix& A,
       return result;
     }
 
-    const double rho_next = dot(r_hat, r);
+    double rho_next = dot(r_hat, r);
+    if (rho_next == 0.0 && restart()) rho_next = dot(r_hat, r);
     if (rho_next == 0.0) break;  // breakdown: shadow residual orthogonal
     if (!std::isfinite(rho_next)) {
       result.diverged = true;
@@ -83,6 +101,7 @@ IterativeResult solve_fixpoint_krylov(const CsrMatrix& A,
 
     apply(p, v);
     const double r_hat_v = dot(r_hat, v);
+    if (r_hat_v == 0.0 && restart()) continue;
     if (r_hat_v == 0.0) break;  // breakdown
     if (!std::isfinite(r_hat_v)) {
       result.diverged = true;
@@ -116,6 +135,7 @@ IterativeResult solve_fixpoint_krylov(const CsrMatrix& A,
       x[i] += alpha * p[i] + omega * s[i];
       r[i] = s[i] - omega * t[i];
     }
+    restarted = false;
     const double r_norm = max_norm(r);
     result.final_delta = r_norm;
     if (!std::isfinite(r_norm)) {

@@ -24,8 +24,10 @@ namespace autosec::linalg {
 ///
 /// Convergence is declared when the true residual max-norm drops to
 /// options.tolerance (or to the floating-point floor ~1e-14·‖x‖ for large
-/// solutions). On breakdown or stagnation the result carries
-/// converged = false and the caller is expected to fall back to
+/// solutions). A shadow-residual breakdown (ρ = 0 or r̂·v = 0 with r ≠ 0)
+/// restarts the recurrence with r̂ := r; on a repeated breakdown or
+/// stagnation the result carries converged = false and the caller is
+/// expected to fall back to
 /// solve_fixpoint's Gauss-Seidel sweeps — BiCGSTAB is an accelerator, not a
 /// replacement. `iterations` counts BiCGSTAB steps (two matrix products
 /// each), not Gauss-Seidel sweeps.

@@ -27,9 +27,9 @@
 
 namespace autosec::linalg {
 
-/// Storage layout of the uniformized matrix behind Uniformized::step, the
-/// same selection pattern as symbolic::ExplorationEngine: kAuto resolves per
-/// matrix (a pure function of its shape, never of the thread count).
+/// Storage layout of the uniformized matrix behind Uniformized::step: kAuto
+/// resolves per matrix (a pure function of its shape, never of the thread
+/// count).
 enum class MatrixLayout {
   kAuto,     ///< blocked for matrices big enough to pay for the packing
   kCsr,      ///< plain CSR rows — the reference kernel

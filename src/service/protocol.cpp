@@ -212,7 +212,7 @@ ParseResult parse_request(std::string_view line) {
         const auto parsed = symbolic::parse_engine_token(engine);
         if (!parsed) {
           throw BadRequest("unknown engine '" + engine +
-                           "' (auto|classic|compact)");
+                           "' (auto|compact)");
         }
         request.engine = *parsed;
       } else if (key == "model_type") {

@@ -40,8 +40,8 @@
 // replayed from disk (explores 0, no engine work), "none" means no disk
 // cache is configured or the op is not cacheable. "solver_fallbacks" counts
 // solver rungs taken beyond the first (a degraded but correct solve).
-// "engine" is the resolved state-store backend ("classic" | "compact";
-// "none" for requests that build no state space, e.g. status/diagnose).
+// "engine" is the state store that held the request's states (always
+// "compact"; "none" for requests that build no state space, e.g. status).
 #pragma once
 
 #include <optional>
@@ -110,7 +110,8 @@ struct Request {
   /// yields a typed state_budget_exceeded / memory_budget_exceeded error.
   std::optional<int64_t> max_states;
   std::optional<int64_t> max_memory_mb;
-  /// State-store backend for exploration ("auto" | "classic" | "compact").
+  /// Exploration engine ("auto" | "compact"; compact asks for symmetry
+  /// reduction under reduction auto).
   symbolic::ExplorationEngine engine = symbolic::ExplorationEngine::kAuto;
   /// Model family of the generated model ("ctmc" | "mdp"): ctmc is the
   /// paper's exploit-vs-patch race, mdp the nondeterministic worst-case

@@ -123,8 +123,9 @@ std::string make_key(uint64_t digest, const Request& request) {
   key += std::to_string(request.nmax);
   key += ";solver=";
   key += solver_token(request.solver);
-  // Different engine → potentially different state enumeration; never share
-  // a cached session across engine choices.
+  // Different engine → potentially different state enumeration (compact
+  // turns symmetry reduction on); never share a cached session across
+  // engine choices.
   key += ";engine=";
   key += symbolic::engine_token(request.engine);
   // The model family changes the transformed model entirely — a cached ctmc
@@ -658,8 +659,10 @@ util::JsonValue Server::run_cached(const Request& request, const Source& source,
 
 util::JsonValue Server::run_diagnose(const Request& request, const Source& source,
                                      RequestMetrics& metrics) {
-  // Diagnostics perturb rate constants internally (one model per perturbed
-  // value), so there is no long-lived session to reuse: session_cache "none".
+  // Diagnostics perturb rate constants (one explore per perturbed value, in
+  // a request-scoped session), so there is no long-lived session to reuse:
+  // session_cache "none". Every explore and solve runs under the request's
+  // budget and deadline.
   const automotive::Architecture arch =
       parse_architecture_checked(source.content, request);
   const auto token = make_token(request, effective_timeout());
@@ -669,14 +672,14 @@ util::JsonValue Server::run_diagnose(const Request& request, const Source& sourc
 
   automotive::CriticalityOptions criticality_options;
   criticality_options.analysis = analysis_options;
+  csl::SessionStats criticality_stats;
   const std::vector<automotive::Criticality> criticalities =
       automotive::criticality_analysis(arch, request.message, request.category,
-                                       criticality_options);
-  const automotive::BreachAttributionResult attribution =
-      automotive::first_breach_attribution(arch, request.message, request.category,
-                                           analysis_options);
+                                       criticality_options, &criticality_stats);
   const automotive::SecurityAnalysis analysis(arch, request.message,
                                               request.category, analysis_options);
+  const automotive::BreachAttributionResult attribution =
+      automotive::first_breach_attribution(arch, analysis);
 
   JsonValue result = JsonValue::object();
   result["architecture"] = JsonValue::string(arch.name);
@@ -717,6 +720,10 @@ util::JsonValue Server::run_diagnose(const Request& request, const Source& sourc
   }
   result["breach_time_quantiles"] = std::move(quantiles);
 
+  const csl::SessionStats& stats = analysis.session()->stats();
+  metrics.explores = criticality_stats.explore_count + stats.explore_count;
+  metrics.solver_fallbacks = criticality_stats.solver_fallbacks + stats.solver_fallbacks;
+  metrics.engine = stats.engine;
   metrics.states = analysis.space().state_count();
   return result;
 }

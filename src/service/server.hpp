@@ -185,9 +185,9 @@ class Server {
     size_t explores = 0;
     size_t states = 0;
     size_t solver_fallbacks = 0;
-    /// Resolved state-store backend ("classic" | "compact"); "none" for
-    /// requests that build no state space (status, diagnose, cache hits that
-    /// never re-explore keep the session's recorded engine).
+    /// State store that held the request's states ("compact"); "none" for
+    /// requests that build no state space (status; cache hits that never
+    /// re-explore keep the session's recorded engine).
     std::string engine = "none";
     /// Cache key of the entry this request used; lets handle_line evict the
     /// (possibly poisoned) entry when dispatch fails engine-side.

@@ -79,9 +79,9 @@ std::vector<bool> StateSpace::satisfying(const Expr& condition) const {
         "state formula '" + condition.to_string() +
         "' is not invariant under the symmetry reduction that built this "
         "state space; its value would depend on which orbit representative "
-        "was stored. Re-run with the classic engine or reduction off, or "
-        "phrase the property symmetrically (e.g. over all interchangeable "
-        "modules instead of one).");
+        "was stored. Re-run with reduction off, or phrase the property "
+        "symmetrically (e.g. over all interchangeable modules instead of "
+        "one).");
   }
   std::vector<bool> mask(state_count());
   std::vector<int32_t> values;
@@ -305,8 +305,7 @@ StateSpace explore_mdp(std::shared_ptr<const CompiledModel> model_ptr,
 
   AUTOSEC_LOG_INFO("explorer") << "explored " << store->size() << " states, "
                                << flat->row_count() << " actions, "
-                               << triplets.size() << " transitions ("
-                               << store->name() << " store)";
+                               << triplets.size() << " transitions";
   const size_t transition_count = triplets.size();
   return StateSpace(std::move(model_ptr), std::move(store), initial_id,
                     std::move(flat), transition_count);
@@ -324,8 +323,7 @@ StateSpace explore(std::shared_ptr<const CompiledModel> model_ptr,
   const size_t variable_count = model.variables.size();
   if (variable_count == 0) throw ModelError("explore: model has no variables");
 
-  std::shared_ptr<StateStore> store =
-      make_store(resolve_engine(options.engine, model), model);
+  auto store = std::make_shared<StateStore>(model);
 
   if (model.type == ModelType::kMdp) {
     // Symmetry reduction folds orbit-internal transitions onto the diagonal,
@@ -338,10 +336,9 @@ StateSpace explore(std::shared_ptr<const CompiledModel> model_ptr,
     return explore_mdp(std::move(model_ptr), std::move(store), options);
   }
 
-  // Symmetry reduction resolves from the *requested* engine, not the
-  // auto-resolved one: kAuto reduction turns on only when the caller
-  // explicitly picked the compact engine (the big-fleet path). A reduction
-  // changes which states exist, so it must never switch on silently.
+  // kAuto reduction turns on only when the caller explicitly picked the
+  // compact engine (the big-fleet path). A reduction changes which states
+  // exist, so it must never switch on silently.
   SymmetryGroup symmetry;
   const bool want_reduction =
       options.reduction == SymmetryReduction::kOn ||
@@ -480,8 +477,7 @@ StateSpace explore(std::shared_ptr<const CompiledModel> model_ptr,
   for (const Triplet& t : triplets) builder.add(t.from, t.to, t.rate);
 
   AUTOSEC_LOG_INFO("explorer") << "explored " << store->size() << " states, "
-                               << triplets.size() << " transitions ("
-                               << store->name() << " store)";
+                               << triplets.size() << " transitions";
   return StateSpace(std::move(model_ptr), std::move(store), initial_id,
                     std::move(builder).build(), triplets.size(),
                     std::move(symmetry));

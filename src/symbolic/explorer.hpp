@@ -5,9 +5,8 @@
 // when "building the model"; the paper's Section 4 reports its state counts
 // (4·10^5 – 1.2·10^6) and notes that runtime tracks the state count.
 //
-// Exploration is layered over two interchangeable state-store backends
-// (symbolic/state_store.hpp) selected by ExploreOptions::engine, plus an
-// optional on-the-fly symmetry reduction (symbolic/symmetry.hpp) that
+// States are interned in the bit-packed StateStore (symbolic/state_store.hpp).
+// An optional on-the-fly symmetry reduction (symbolic/symmetry.hpp)
 // collapses interchangeable ECU/stream modules during the BFS instead of
 // after full materialization.
 #pragma once
@@ -28,7 +27,7 @@ namespace autosec::symbolic {
 
 /// On-the-fly symmetry reduction policy. kAuto enables the reduction only
 /// when the caller explicitly asked for the compact engine (the big-fleet
-/// path); kAuto under engine auto/classic resolves to off, so default
+/// path); kAuto under engine auto resolves to off, so default
 /// exploration stays bit-identical to what it always produced.
 enum class SymmetryReduction { kAuto, kOff, kOn };
 
@@ -40,8 +39,7 @@ struct ExploreOptions {
   /// Drop transitions whose rate evaluates to exactly 0 (guard enabled but
   /// rate zero). Rates < 0 always throw.
   bool allow_zero_rates = true;
-  /// State-store backend: classic (vector valuations), compact (bit-packed
-  /// hash-consed), or auto (compact iff the packed state exceeds 64 bits).
+  /// Engine request; kCompact turns SymmetryReduction::kAuto on.
   ExplorationEngine engine = ExplorationEngine::kAuto;
   /// Collapse verified-interchangeable modules during the BFS. Exact (an
   /// ordinary lumping) for every query whose state formula is invariant
@@ -75,7 +73,7 @@ struct ExploreOptions {
 };
 
 /// The explored model: states, transitions, and evaluators bound to the
-/// state enumeration. States live in a StateStore backend; when a symmetry
+/// state enumeration. States live in a StateStore; when a symmetry
 /// reduction was active, every stored state is the canonical representative
 /// of its orbit and the transition matrix is the exact lumped quotient.
 class StateSpace {
@@ -129,10 +127,12 @@ class StateSpace {
   std::vector<double> reward_vector(const std::string& rewards_name) const;
 
   const CompiledModel& model() const { return *model_; }
+  std::shared_ptr<const CompiledModel> model_ptr() const { return model_; }
 
-  /// Backend that holds the states ("classic" | "compact").
-  const char* engine_name() const { return store_->name(); }
-  /// Tracked bytes per interned state of the active backend.
+  /// Name of the store that holds the states, as recorded in metrics and
+  /// serve envelopes. There is one store, so it is always "compact".
+  const char* engine_name() const { return "compact"; }
+  /// Tracked bytes per interned state.
   size_t bytes_per_state() const { return store_->bytes_per_state(); }
   /// True when an on-the-fly symmetry reduction collapsed this space.
   bool reduced() const { return !symmetry_.trivial(); }

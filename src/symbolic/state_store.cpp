@@ -1,14 +1,12 @@
 #include "symbolic/state_store.hpp"
 
 #include <cstring>
-#include <unordered_map>
 
 namespace autosec::symbolic {
 
 std::string_view engine_token(ExplorationEngine engine) {
   switch (engine) {
     case ExplorationEngine::kAuto: return "auto";
-    case ExplorationEngine::kClassic: return "classic";
     case ExplorationEngine::kCompact: return "compact";
   }
   return "auto";
@@ -16,7 +14,6 @@ std::string_view engine_token(ExplorationEngine engine) {
 
 std::optional<ExplorationEngine> parse_engine_token(std::string_view text) {
   if (text == "auto") return ExplorationEngine::kAuto;
-  if (text == "classic") return ExplorationEngine::kClassic;
   if (text == "compact") return ExplorationEngine::kCompact;
   return std::nullopt;
 }
@@ -68,199 +65,76 @@ void StateLayout::unpack(const uint64_t* packed, std::span<int32_t> values) cons
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Classic store: the original vector-of-valuations representation, with the
-// 64-bit packed-key fast path for narrow models and the FNV-1a vector hash
-// beyond it. Moved here verbatim from the explorer so both backends sit
-// behind one interface.
-
-struct ValuationHash {
-  size_t operator()(const std::vector<int32_t>& state) const {
-    uint64_t hash = 1469598103934665603ull;
-    for (int32_t v : state) {
-      auto word = static_cast<uint32_t>(v);
-      for (int byte = 0; byte < 4; ++byte) {
-        hash ^= (word >> (8 * byte)) & 0xffu;
-        hash *= 1099511628211ull;
-      }
-    }
-    return static_cast<size_t>(hash);
+// splitmix64-style mixing per word: cheap and well distributed over the
+// low-entropy packed values.
+uint64_t hash_words(const uint64_t* words, size_t count) {
+  uint64_t hash = 0x9e3779b97f4a7c15ull;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t x = words[i] + 0x9e3779b97f4a7c15ull + hash;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    hash = x ^ (x >> 31);
   }
-};
-
-class ClassicStore final : public StateStore {
- public:
-  explicit ClassicStore(const CompiledModel& model)
-      : layout_(model.variables), packable_(layout_.bits() <= 64) {}
-
-  uint32_t intern(std::span<const int32_t> values, bool& inserted) override {
-    if (packable_) {
-      uint64_t key = 0;
-      layout_.pack(values, &key);
-      const auto [it, fresh] =
-          packed_index_of_.try_emplace(key, static_cast<uint32_t>(states_.size()));
-      inserted = fresh;
-      if (fresh) states_.emplace_back(values.begin(), values.end());
-      return it->second;
-    }
-    std::vector<int32_t> state(values.begin(), values.end());
-    const auto it = index_of_.find(state);
-    if (it != index_of_.end()) {
-      inserted = false;
-      return it->second;
-    }
-    inserted = true;
-    const auto id = static_cast<uint32_t>(states_.size());
-    states_.push_back(state);
-    index_of_.emplace(std::move(state), id);
-    return id;
-  }
-
-  void values_of(size_t index, std::vector<int32_t>& out) const override {
-    out = states_[index];
-  }
-
-  size_t size() const override { return states_.size(); }
-
-  size_t bytes_per_state() const override {
-    // The value vector plus the interning-map entry — the same accounting the
-    // explorer has always charged for this representation.
-    return sizeof(std::vector<int32_t>) +
-           layout_.variable_count() * sizeof(int32_t) + 16;
-  }
-
-  const char* name() const override { return "classic"; }
-
- private:
-  StateLayout layout_;
-  bool packable_;
-  std::vector<std::vector<int32_t>> states_;
-  std::unordered_map<std::vector<int32_t>, uint32_t, ValuationHash> index_of_;
-  std::unordered_map<uint64_t, uint32_t> packed_index_of_;
-};
-
-// ---------------------------------------------------------------------------
-// Compact store: bit-packed states, hash-consed in an open-addressing table
-// over an arena of fixed-size chunks. Interning a seen state allocates
-// nothing; interning a fresh one bumps the arena cursor (amortized one chunk
-// allocation per kChunkStates states).
-
-class CompactStore final : public StateStore {
- public:
-  CompactStore(const CompiledModel& model, size_t table_capacity)
-      : layout_(model.variables), words_(layout_.words()) {
-    size_t capacity = 16;
-    while (capacity < table_capacity) capacity *= 2;
-    table_.assign(capacity, kEmpty);
-    scratch_.resize(words_);
-  }
-
-  uint32_t intern(std::span<const int32_t> values, bool& inserted) override {
-    layout_.pack(values, scratch_.data());
-    const uint64_t hash = hash_words(scratch_.data(), words_);
-    size_t slot = static_cast<size_t>(hash) & (table_.size() - 1);
-    while (table_[slot] != kEmpty) {
-      const uint32_t id = table_[slot];
-      if (std::memcmp(row(id), scratch_.data(), words_ * sizeof(uint64_t)) == 0) {
-        inserted = false;
-        return id;
-      }
-      slot = (slot + 1) & (table_.size() - 1);
-    }
-    inserted = true;
-    const auto id = static_cast<uint32_t>(size_);
-    uint64_t* cell = allocate_row();
-    std::memcpy(cell, scratch_.data(), words_ * sizeof(uint64_t));
-    table_[slot] = id;
-    ++size_;
-    maybe_grow();
-    return id;
-  }
-
-  void values_of(size_t index, std::vector<int32_t>& out) const override {
-    out.resize(layout_.variable_count());
-    layout_.unpack(row(static_cast<uint32_t>(index)), out);
-  }
-
-  size_t size() const override { return size_; }
-
-  size_t bytes_per_state() const override {
-    // Packed words plus the amortized open-addressing slot (4 bytes at the
-    // <=70% load factor the growth policy maintains).
-    return layout_.bytes() + 8;
-  }
-
-  const char* name() const override { return "compact"; }
-
- private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-  static constexpr size_t kChunkStates = 4096;
-
-  static uint64_t hash_words(const uint64_t* words, size_t count) {
-    // splitmix64-style mixing per word: cheap and well distributed over the
-    // low-entropy packed values.
-    uint64_t hash = 0x9e3779b97f4a7c15ull;
-    for (size_t i = 0; i < count; ++i) {
-      uint64_t x = words[i] + 0x9e3779b97f4a7c15ull + hash;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-      hash = x ^ (x >> 31);
-    }
-    return hash;
-  }
-
-  const uint64_t* row(uint32_t id) const {
-    return chunks_[id / kChunkStates].get() + (id % kChunkStates) * words_;
-  }
-  uint64_t* allocate_row() {
-    if (size_ / kChunkStates == chunks_.size()) {
-      chunks_.push_back(std::make_unique<uint64_t[]>(kChunkStates * words_));
-    }
-    return chunks_[size_ / kChunkStates].get() + (size_ % kChunkStates) * words_;
-  }
-
-  void maybe_grow() {
-    if (size_ * 10 < table_.size() * 7) return;
-    std::vector<uint32_t> grown(table_.size() * 2, kEmpty);
-    for (uint32_t id = 0; id < size_; ++id) {
-      size_t slot = static_cast<size_t>(hash_words(row(id), words_)) &
-                    (grown.size() - 1);
-      while (grown[slot] != kEmpty) slot = (slot + 1) & (grown.size() - 1);
-      grown[slot] = id;
-    }
-    table_ = std::move(grown);
-  }
-
-  StateLayout layout_;
-  size_t words_;
-  size_t size_ = 0;
-  std::vector<std::unique_ptr<uint64_t[]>> chunks_;
-  std::vector<uint32_t> table_;
-  std::vector<uint64_t> scratch_;
-};
+  return hash;
+}
 
 }  // namespace
 
-std::unique_ptr<StateStore> make_classic_store(const CompiledModel& model) {
-  return std::make_unique<ClassicStore>(model);
+// ---------------------------------------------------------------------------
+// StateStore
+
+StateStore::StateStore(const CompiledModel& model, size_t table_capacity)
+    : layout_(model.variables), words_(layout_.words()) {
+  size_t capacity = 16;
+  while (capacity < table_capacity) capacity *= 2;
+  table_.assign(capacity, kEmpty);
+  scratch_.resize(words_);
 }
 
-std::unique_ptr<StateStore> make_compact_store(const CompiledModel& model,
-                                               size_t table_capacity) {
-  return std::make_unique<CompactStore>(model, table_capacity);
+uint32_t StateStore::intern(std::span<const int32_t> values, bool& inserted) {
+  layout_.pack(values, scratch_.data());
+  const uint64_t hash = hash_words(scratch_.data(), words_);
+  size_t slot = static_cast<size_t>(hash) & (table_.size() - 1);
+  while (table_[slot] != kEmpty) {
+    const uint32_t id = table_[slot];
+    if (std::memcmp(row(id), scratch_.data(), words_ * sizeof(uint64_t)) == 0) {
+      inserted = false;
+      return id;
+    }
+    slot = (slot + 1) & (table_.size() - 1);
+  }
+  inserted = true;
+  const auto id = static_cast<uint32_t>(size_);
+  uint64_t* cell = allocate_row();
+  std::memcpy(cell, scratch_.data(), words_ * sizeof(uint64_t));
+  table_[slot] = id;
+  ++size_;
+  maybe_grow();
+  return id;
 }
 
-ExplorationEngine resolve_engine(ExplorationEngine requested,
-                                 const CompiledModel& model) {
-  if (requested != ExplorationEngine::kAuto) return requested;
-  return StateLayout(model.variables).bits() > 64 ? ExplorationEngine::kCompact
-                                                  : ExplorationEngine::kClassic;
+void StateStore::values_of(size_t index, std::vector<int32_t>& out) const {
+  out.resize(layout_.variable_count());
+  layout_.unpack(row(static_cast<uint32_t>(index)), out);
 }
 
-std::unique_ptr<StateStore> make_store(ExplorationEngine resolved,
-                                       const CompiledModel& model) {
-  return resolved == ExplorationEngine::kCompact ? make_compact_store(model)
-                                                 : make_classic_store(model);
+uint64_t* StateStore::allocate_row() {
+  if (size_ / kChunkStates == chunks_.size()) {
+    chunks_.push_back(std::make_unique<uint64_t[]>(kChunkStates * words_));
+  }
+  return chunks_[size_ / kChunkStates].get() + (size_ % kChunkStates) * words_;
+}
+
+void StateStore::maybe_grow() {
+  if (size_ * 10 < table_.size() * 7) return;
+  std::vector<uint32_t> grown(table_.size() * 2, kEmpty);
+  for (uint32_t id = 0; id < size_; ++id) {
+    size_t slot = static_cast<size_t>(hash_words(row(id), words_)) &
+                  (grown.size() - 1);
+    while (grown[slot] != kEmpty) slot = (slot + 1) & (grown.size() - 1);
+    grown[slot] = id;
+  }
+  table_ = std::move(grown);
 }
 
 }  // namespace autosec::symbolic

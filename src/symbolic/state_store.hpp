@@ -1,22 +1,16 @@
-// State storage backends for the explorer — the representation half of the
-// multi-engine exploration layer (the checking half stays in csl/).
+// State storage for the explorer — the representation half of exploration
+// (the checking half stays in csl/).
 //
-// Two backends implement the same StateStore interface:
+// Every variable is bit-packed into its declared range width, and the packed
+// words are interned in an arena-backed hash-consing table (open addressing,
+// hash + deep word compare — the KLEE ExprAllocUnique idiom). No per-state
+// heap allocation: a state costs ceil(bits/64) words plus one table slot.
 //
-//   classic   one std::vector<int32_t> valuation per state, interned through
-//             a hash map (with a 64-bit packed-key fast path for narrow
-//             models). This is the original representation; it stays the
-//             default for models whose state fits one machine word.
-//   compact   every variable bit-packed into its declared range width, the
-//             packed words interned in an arena-backed hash-consing table
-//             (open addressing, hash + deep word compare — the KLEE
-//             ExprAllocUnique idiom). No per-state heap allocation; a state
-//             costs ceil(bits/64) words plus one table slot, an order of
-//             magnitude below the classic store for wide fleet models.
-//
-// Engine selection (ExplorationEngine) is deliberately defined here, next to
-// the stores it chooses between; csl::EngineOptions::explore carries it and
-// the CLI/serve layers parse it with parse_engine_token.
+// The engine knob (ExplorationEngine) is defined here, next to the store;
+// csl::EngineOptions::explore carries it and the CLI/serve layers parse it
+// with parse_engine_token. Both tokens build the same store; "compact"
+// additionally asks for the big-fleet path (symmetry reduction under
+// reduction auto, see explorer.hpp).
 #pragma once
 
 #include <cstdint>
@@ -30,13 +24,12 @@
 
 namespace autosec::symbolic {
 
-/// Which state-store backend exploration uses. kAuto resolves per model:
-/// compact when the packed state is wider than 64 bits (i.e. beyond the
-/// classic store's packed-key fast path), classic otherwise — so small
-/// models keep their original representation bit-for-bit.
-enum class ExplorationEngine { kAuto, kClassic, kCompact };
+/// Exploration engine request: kAuto explores the plain state space,
+/// kCompact asks for the big-fleet path (symmetry reduction under
+/// SymmetryReduction::kAuto).
+enum class ExplorationEngine { kAuto, kCompact };
 
-/// Wire/CLI token of an engine choice ("auto" | "classic" | "compact").
+/// Wire/CLI token of an engine choice ("auto" | "compact").
 std::string_view engine_token(ExplorationEngine engine);
 /// Parse an engine token; nullopt for anything unknown.
 std::optional<ExplorationEngine> parse_engine_token(std::string_view text);
@@ -71,47 +64,49 @@ class StateLayout {
   size_t words_ = 1;
 };
 
-/// Interning store of explored states. Indices are dense and assigned in
-/// insertion order, so any two stores fed the same intern() sequence number
-/// states identically — the bit-identical-engines contract rests on this.
+/// Interning store of explored states: bit-packed rows in an arena of
+/// fixed-size chunks, hash-consed through an open-addressing table.
+/// Indices are dense and assigned in insertion order. Interning a seen state
+/// allocates nothing; interning a fresh one bumps the arena cursor.
 class StateStore {
  public:
-  virtual ~StateStore() = default;
+  /// `table_capacity` is the initial open-addressing table size (rounded up
+  /// to a power of two, at least 16); the default is right for normal
+  /// exploration, tests shrink it to force collision chains and rehash
+  /// growth.
+  explicit StateStore(const CompiledModel& model, size_t table_capacity = 1 << 10);
 
   /// Return the index of `values`, inserting it when unseen; `inserted`
   /// reports which happened. Values must respect the declared ranges.
-  virtual uint32_t intern(std::span<const int32_t> values, bool& inserted) = 0;
+  uint32_t intern(std::span<const int32_t> values, bool& inserted);
 
   /// Copy the valuation of state `index` into `out` (resized as needed).
-  virtual void values_of(size_t index, std::vector<int32_t>& out) const = 0;
+  void values_of(size_t index, std::vector<int32_t>& out) const;
 
-  virtual size_t size() const = 0;
+  size_t size() const { return size_; }
 
   /// Amortized tracked bytes per interned state — what the explorer charges
-  /// against the resource budget (storage plus interning-table overhead).
-  virtual size_t bytes_per_state() const = 0;
+  /// against the resource budget: the packed words plus the amortized
+  /// open-addressing slot (4 bytes at the <=70% load factor the growth
+  /// policy maintains).
+  size_t bytes_per_state() const { return layout_.bytes() + 8; }
 
-  /// Backend name as recorded in metrics and serve envelopes.
-  virtual const char* name() const = 0;
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  static constexpr size_t kChunkStates = 4096;
+
+  const uint64_t* row(uint32_t id) const {
+    return chunks_[id / kChunkStates].get() + (id % kChunkStates) * words_;
+  }
+  uint64_t* allocate_row();
+  void maybe_grow();
+
+  StateLayout layout_;
+  size_t words_;
+  size_t size_ = 0;
+  std::vector<std::unique_ptr<uint64_t[]>> chunks_;
+  std::vector<uint32_t> table_;
+  std::vector<uint64_t> scratch_;
 };
-
-/// The original vector-of-valuations store.
-std::unique_ptr<StateStore> make_classic_store(const CompiledModel& model);
-
-/// The bit-packed hash-consing store. `table_capacity` is the initial
-/// open-addressing table size (rounded up to a power of two); the default is
-/// right for normal exploration, tests shrink it to force collision chains
-/// and rehash growth.
-std::unique_ptr<StateStore> make_compact_store(const CompiledModel& model,
-                                               size_t table_capacity = 1 << 10);
-
-/// Resolve kAuto against a concrete model (see ExplorationEngine docs);
-/// kClassic/kCompact pass through.
-ExplorationEngine resolve_engine(ExplorationEngine requested,
-                                 const CompiledModel& model);
-
-/// Instantiate the store for a resolved engine choice.
-std::unique_ptr<StateStore> make_store(ExplorationEngine resolved,
-                                       const CompiledModel& model);
 
 }  // namespace autosec::symbolic

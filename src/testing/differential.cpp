@@ -433,55 +433,18 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
     fs::remove(resumed->path(), cleanup_error);
   }
 
-  // --- (f) compact vs classic state store. Both stores are fed the same
-  // intern() sequence, so the enumeration, matrix, masks, rewards and every
-  // property value must agree bit-for-bit (reduction pinned off on both legs
-  // — it is a separate axis, checked below).
+  // --- (f) symmetry-reduced quotient vs the full space.
   if (options.check_engine) {
-    symbolic::ExploreOptions classic_options;
-    classic_options.engine = symbolic::ExplorationEngine::kClassic;
-    classic_options.reduction = symbolic::SymmetryReduction::kOff;
-    symbolic::ExploreOptions compact_options;
-    compact_options.engine = symbolic::ExplorationEngine::kCompact;
-    compact_options.reduction = symbolic::SymmetryReduction::kOff;
-    auto classic = std::make_shared<const StateSpace>(
-        symbolic::explore(compiled, classic_options));
-    auto compact = std::make_shared<const StateSpace>(
-        symbolic::explore(compiled, compact_options));
-
-    harness.record_pass_fail(
-        "engine.compact_vs_classic", seed, tag + "identical state space",
-        compact->state_count() == classic->state_count() &&
-            compact->transition_count() == classic->transition_count() &&
-            compact->initial_state() == classic->initial_state() &&
-            csr_equal(compact->rates(), classic->rates()));
-    for (const symbolic::LabelDecl& label : model.labels) {
-      harness.record_pass_fail(
-          "engine.compact_vs_classic", seed, tag + "label \"" + label.name + "\"",
-          compact->label_mask(label.name) == classic->label_mask(label.name));
-    }
-    for (const symbolic::RewardStructDecl& reward : model.rewards) {
-      harness.record_pass_fail(
-          "engine.compact_vs_classic", seed, tag + "rewards \"" + reward.name + "\"",
-          compact->reward_vector(reward.name) == classic->reward_vector(reward.name));
-    }
-
     std::vector<std::string> all = properties.bounded;
     for (const std::string& text : properties.unbounded) all.push_back(text);
-    csl::EngineSession classic_session(classic);
-    csl::EngineSession compact_session(compact);
-    const std::vector<double> classic_values = classic_session.check_all(all);
-    const std::vector<double> compact_values = compact_session.check_all(all);
-    for (size_t i = 0; i < all.size(); ++i) {
-      harness.compare_exact("engine.compact_vs_classic", seed, tag + all[i],
-                            compact_values[i], classic_values[i]);
-    }
+    csl::EngineSession full_session(space);
+    const std::vector<double> full_values = full_session.check_all(all);
 
-    // --- symmetry-reduced quotient vs the full space. The quotient is an
-    // exact lumping, but its rates are summed in a different order, so
-    // values are compared within the oracle tolerance (not bitwise). A
-    // property whose state formula is not invariant under the detected group
-    // is honestly rejected by the engine — counted as a skip.
+    // The quotient is an exact lumping, but its rates are summed in a
+    // different order, so values are compared within the oracle tolerance
+    // (not bitwise). A property whose state formula is not invariant under
+    // the detected group is honestly rejected by the engine — counted as a
+    // skip.
     symbolic::ExploreOptions reduced_options;
     reduced_options.engine = symbolic::ExplorationEngine::kCompact;
     reduced_options.reduction = symbolic::SymmetryReduction::kOn;
@@ -489,12 +452,12 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
         symbolic::explore(compiled, reduced_options));
     harness.record_pass_fail("engine.reduced_vs_full", seed,
                              tag + "quotient is not larger than the full space",
-                             reduced->state_count() <= classic->state_count());
+                             reduced->state_count() <= space->state_count());
     csl::EngineSession reduced_session(reduced);
     for (size_t i = 0; i < all.size(); ++i) {
       try {
         harness.compare("engine.reduced_vs_full", seed, tag + all[i],
-                        reduced_session.check(all[i]), classic_values[i]);
+                        reduced_session.check(all[i]), full_values[i]);
       } catch (const symbolic::ModelError& error) {
         if (std::string(error.what()).find("not invariant") == std::string::npos) {
           throw;

@@ -7,7 +7,7 @@
 //               (testing/oracle.hpp), on chains small enough to cube;
 //   solvers     Krylov (BiCGSTAB) vs pure Gauss-Seidel on every unbounded
 //               property (reachability, steady-state, reachability reward);
-//   kernels     the blocked SELL-C-σ transient kernel vs the classic CSR
+//   kernels     the blocked SELL-C-σ transient kernel vs the plain CSR
 //               kernel (bit-exact by contract);
 //   lumping     lumped-quotient checking vs the full-space engine;
 //   parallel    the whole property batch at 1 thread vs N threads, required
@@ -16,11 +16,8 @@
 //               state space, and write∘parse∘write is a fixpoint; same for
 //               write_architecture/parse_architecture plus the transformed
 //               models of both architectures;
-//   engine      the compact (bit-packed, hash-consed) state store vs the
-//               classic vector store, required to produce the identical
-//               state enumeration, rate matrix, masks, rewards and property
-//               values bit-for-bit; plus the symmetry-reduced quotient vs
-//               the full space on every group-invariant property;
+//   engine      the symmetry-reduced quotient vs the full space on every
+//               group-invariant property;
 //   mdp         value iteration on a tiny random MDP vs the exhaustive
 //               strategy-enumeration oracle (every memoryless scheduler's
 //               induced DTMC solved densely), for Pmax and Pmin

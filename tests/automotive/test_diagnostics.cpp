@@ -6,6 +6,9 @@
 #include <algorithm>
 
 #include "automotive/casestudy.hpp"
+#include "util/budget.hpp"
+#include "util/cancel.hpp"
+#include "util/failure.hpp"
 
 namespace autosec::automotive {
 namespace {
@@ -89,6 +92,41 @@ TEST(Criticality, AesModelIncludesMessageEta) {
       std::any_of(result.begin(), result.end(),
                   [](const Criticality& c) { return c.constant == "phi_msg"; });
   EXPECT_FALSE(has_phi_msg);
+}
+
+TEST(Criticality, OneSessionExploresEachPerturbedValueOnce) {
+  csl::SessionStats stats;
+  const auto result = criticality_analysis(
+      cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
+      SecurityCategory::kConfidentiality, fast_criticality(), &stats);
+  ASSERT_FALSE(result.empty());
+  EXPECT_EQ(stats.explore_count, 2 * result.size());
+  EXPECT_EQ(stats.engine, "compact");
+}
+
+TEST(Criticality, StateBudgetBindsThePerturbedExplores) {
+  CriticalityOptions options;
+  options.analysis.nmax = 2;
+  options.analysis.budget = std::make_shared<util::ResourceBudget>(100);
+  try {
+    criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
+                         SecurityCategory::kConfidentiality, options);
+    FAIL() << "expected state_budget_exceeded";
+  } catch (const util::EngineFailure& failure) {
+    EXPECT_EQ(failure.code(), util::FailureCode::kStateBudgetExceeded);
+    ASSERT_TRUE(failure.progress().limit.has_value());
+    EXPECT_EQ(*failure.progress().limit, 100u);
+  }
+}
+
+TEST(Criticality, CancelledTokenStopsBeforeAnyWork) {
+  CriticalityOptions options = fast_criticality();
+  options.analysis.cancel = std::make_shared<util::CancelToken>();
+  options.analysis.cancel->cancel();
+  EXPECT_THROW(criticality_analysis(cs::architecture(1, Protection::kUnencrypted),
+                                    cs::kMessage, SecurityCategory::kConfidentiality,
+                                    options),
+               util::Cancelled);
 }
 
 TEST(BreachAttribution, TotalMatchesBreachProbability) {

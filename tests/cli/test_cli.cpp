@@ -90,6 +90,19 @@ TEST_F(CliFixture, RemovedSolverKernelFlagsAreUsageErrors) {
   }
 }
 
+TEST_F(CliFixture, RemovedClassicEngineIsAUsageError) {
+  // There is one state store; the old "classic" engine token must fail
+  // loudly and name the remaining choices.
+  const Result result =
+      run({"analyze", *path_, "--nmax", "1", "--engine", "classic"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("unknown engine 'classic' (auto|compact)"),
+            std::string::npos)
+      << result.err;
+  EXPECT_EQ(run({"analyze", *path_, "--nmax", "1", "--engine", "compact"}).exit_code,
+            0);
+}
+
 TEST_F(CliFixture, AnalyzeAllCategories) {
   const Result result = run({"analyze", *path_, "--nmax", "1"});
   EXPECT_EQ(result.exit_code, 0);

@@ -120,5 +120,58 @@ TEST_F(LumpedFixture, MeanTimeToBreachAgrees) {
   EXPECT_GT(direct, 0.0);
 }
 
+/// Three interchangeable nodes behind a counting gateway, with a label the
+/// symmetry detector verifies as invariant.
+symbolic::Model replicated_nodes() {
+  symbolic::ModelBuilder builder;
+  auto& gw = builder.module("gw");
+  gw.variable("g", 0, 2, 0);
+  gw.command(Expr::ident("g") < Expr::literal(2), Expr::literal(1.0),
+             {{"g", Expr::ident("g") + Expr::literal(1)}});
+  Expr any = Expr::literal(false);
+  for (int i = 1; i <= 3; ++i) {
+    const std::string x = "x" + std::to_string(i);
+    auto& node = builder.module("node" + std::to_string(i));
+    node.variable(x, 0, 1, 0);
+    node.command(Expr::ident(x) == Expr::literal(0), Expr::literal(2.0),
+                 {{x, Expr::literal(1)}});
+    node.command(Expr::ident(x) == Expr::literal(1), Expr::literal(3.0),
+                 {{x, Expr::literal(0)}});
+    any = any || (Expr::ident(x) == Expr::literal(1));
+  }
+  builder.label("any_up", any);
+  return builder.build();
+}
+
+TEST(LumpedReduced, NonInvariantFormulaFailsLikeTheDirectSession) {
+  // On a symmetry-reduced space the quotient keeps the space's symmetry, so
+  // a formula naming one node is rejected with the same typed error the
+  // direct session raises — never answered at an arbitrary representative.
+  symbolic::ExploreOptions options;
+  options.reduction = symbolic::SymmetryReduction::kOn;
+  const auto space = std::make_shared<const symbolic::StateSpace>(
+      symbolic::explore(symbolic::compile(replicated_nodes()), options));
+  ASSERT_TRUE(space->reduced());
+  const char* asymmetric = "P=? [ F<=1 x1=1 ]";
+  std::string direct_error;
+  try {
+    EngineSession(space).check(asymmetric);
+    FAIL() << "expected the direct session to reject " << asymmetric;
+  } catch (const symbolic::ModelError& error) {
+    direct_error = error.what();
+  }
+  EXPECT_NE(direct_error.find("not invariant"), std::string::npos) << direct_error;
+  try {
+    check_lumped(*space, asymmetric);
+    FAIL() << "expected check_lumped to reject " << asymmetric;
+  } catch (const symbolic::ModelError& error) {
+    EXPECT_EQ(std::string(error.what()), direct_error);
+  }
+  // A symmetric property still agrees with the direct session.
+  const char* symmetric = "P=? [ F<=1 \"any_up\" ]";
+  EXPECT_NEAR(check_lumped(*space, symmetric).value,
+              EngineSession(space).check(symmetric), 1e-10);
+}
+
 }  // namespace
 }  // namespace autosec::csl

@@ -100,6 +100,21 @@ TEST(EngineSession, OverrideRekeyingKeepsEarlierStagesCached) {
   EXPECT_EQ(session.stats().explore_count, 2u);
 }
 
+TEST(EngineSession, DropInactiveStagesKeepsOnlyTheActiveKey) {
+  EngineSession session(repair_model(2.0, 6.0));
+  const double p_base = session.check("S=? [ \"broken\" ]");
+  session.set_constant_overrides({{"a", symbolic::Value::of(6.0)}});
+  session.drop_inactive_stages();
+  EXPECT_NEAR(session.check("S=? [ \"broken\" ]"), 6.0 / 12.0, 1e-9);
+  session.drop_inactive_stages();  // the active key's stages survive
+  EXPECT_NEAR(session.check("S=? [ \"broken\" ]"), 6.0 / 12.0, 1e-9);
+  EXPECT_EQ(session.stats().explore_count, 2u);
+  // The base key's stages were dropped: returning to it explores again.
+  session.set_constant_overrides({});
+  EXPECT_NEAR(session.check("S=? [ \"broken\" ]"), p_base, 1e-15);
+  EXPECT_EQ(session.stats().explore_count, 3u);
+}
+
 TEST(EngineSession, OverrideCacheKeyIsOrderInsensitive) {
   const std::vector<std::pair<std::string, symbolic::Value>> ab = {
       {"a", symbolic::Value::of(1.0)}, {"b", symbolic::Value::of(2.0)}};

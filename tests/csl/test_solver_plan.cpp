@@ -42,22 +42,21 @@ TEST(SolverPlan, ApplyFansOutOntoEveryStageStruct) {
 
 TEST(SolverPlan, SessionAppliesThePlanOnConstruction) {
   SessionOptions options;
-  options.plan.engine = symbolic::ExplorationEngine::kClassic;
+  options.plan.engine = symbolic::ExplorationEngine::kCompact;
   EngineSession session(tiny_model(), options);
   session.space();
-  EXPECT_EQ(session.options().explore.engine, symbolic::ExplorationEngine::kClassic);
-  EXPECT_EQ(session.stats().engine, "classic");
+  EXPECT_EQ(session.options().explore.engine, symbolic::ExplorationEngine::kCompact);
+  EXPECT_EQ(session.stats().engine, "compact");
 }
 
 TEST(SolverPlan, ResolveReportsTheBuiltSpace) {
   SessionOptions options;
-  options.plan.engine = symbolic::ExplorationEngine::kClassic;
   EngineSession session(tiny_model(), options);
   const SolverPlan resolved = resolve_plan(session.options().plan, session.space());
   // Nothing stays kAuto for the knobs the space decides: engine and
   // reduction come back as concrete choices; method resolves per solve.
-  EXPECT_EQ(resolved.engine, symbolic::ExplorationEngine::kClassic);
-  EXPECT_NE(resolved.reduction, symbolic::SymmetryReduction::kAuto);
+  EXPECT_EQ(resolved.engine, symbolic::ExplorationEngine::kCompact);
+  EXPECT_EQ(resolved.reduction, symbolic::SymmetryReduction::kOff);
   EXPECT_EQ(resolved.method, linalg::FixpointMethod::kAuto);
 }
 

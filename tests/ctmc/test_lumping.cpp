@@ -101,7 +101,11 @@ TEST(Lumping, RewardAndSteadyStatePreserved) {
 
   const auto initial = testing::start_in(4, 0);
   const auto lumped_initial = result.aggregate_distribution(initial);
-  const auto lumped_rewards = result.aggregate_rewards(rewards);
+  // Block-constant rewards carry over at each block's representative.
+  std::vector<double> lumped_rewards;
+  for (const uint32_t representative : result.representative) {
+    lumped_rewards.push_back(rewards[representative]);
+  }
 
   EXPECT_NEAR(expected_cumulative_reward(chain, initial, rewards, 2.0),
               expected_cumulative_reward(result.quotient, lumped_initial,
@@ -120,19 +124,17 @@ TEST(Lumping, RewardAndSteadyStatePreserved) {
 }
 
 TEST(Lumping, MaskAggregation) {
+  // A mask that is part of the signatures is block-constant, so reading it
+  // at each block's representative (what the lumped checker's quotient space
+  // does) gives every member's value.
   const Ctmc chain = two_identical_components(1.0, 1.0);
-  const LumpingResult result = lump(chain, count_signature());
-  const std::vector<bool> block_constant = {false, true, true, true};
-  const auto lumped = result.aggregate_mask(block_constant);
-  EXPECT_EQ(lumped.size(), result.block_count);
-  const std::vector<bool> not_constant = {false, true, false, true};
-  EXPECT_THROW(result.aggregate_mask(not_constant), std::invalid_argument);
-}
-
-TEST(Lumping, NonConstantRewardRejected) {
-  const Ctmc chain = two_identical_components(1.0, 1.0);
-  const LumpingResult result = lump(chain, count_signature());
-  EXPECT_THROW(result.aggregate_rewards({0.0, 1.0, 2.0, 3.0}), std::invalid_argument);
+  const std::vector<bool> mask = {false, true, true, true};
+  const LumpingResult result = lump_preserving(chain, {mask}, {});
+  EXPECT_EQ(result.block_count, 3u);  // {00}, {01,10}, {11}
+  ASSERT_EQ(result.representative.size(), result.block_count);
+  for (size_t s = 0; s < mask.size(); ++s) {
+    EXPECT_EQ(mask[result.representative[result.block_of[s]]], mask[s]) << s;
+  }
 }
 
 TEST(Lumping, LumpPreservingBuildsSignaturesFromMasksAndRewards) {

@@ -216,6 +216,40 @@ TEST(SteadyState, LightLowestStateMatchesOracleUnderEveryMethod) {
   }
 }
 
+/// A 25-state ring with three shortcuts: one BSCC whose embedded chain is
+/// nearly a permutation, so the visit-measure right-hand side has one or two
+/// nonzeros and BiCGSTAB's first shadow residual (r̂ = b) soon turns
+/// orthogonal to the residual.
+Ctmc ring_with_shortcuts() {
+  constexpr size_t kStates = 25;
+  linalg::CsrBuilder builder(kStates, kStates);
+  for (size_t i = 0; i < kStates; ++i) {
+    builder.add(i, (i + 1) % kStates, 1.0 + 0.5 * static_cast<double>(i % 5));
+  }
+  for (const size_t i : {3u, 11u, 19u}) builder.add(i, (i + 7) % kStates, 0.3);
+  return Ctmc(std::move(builder).build());
+}
+
+TEST(SteadyState, RingBsccSolvesOnTheKrylovRung) {
+  const Ctmc chain = ring_with_shortcuts();
+  const std::vector<double> initial = start_in(chain.state_count(), 0);
+  const std::vector<double> expected =
+      ::autosec::testing::oracle_steady_state(chain, initial);
+  SteadyStateOptions pinned;
+  pinned.solver.method = linalg::FixpointMethod::kKrylov;
+  const SteadyStateResult krylov = steady_state(chain, initial, pinned);
+  EXPECT_EQ(krylov.bscc_count, 1u);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(krylov.distribution[i], expected[i], 1e-10) << "state " << i;
+  }
+  // Under kAuto the first rung now settles it: no fallback to Gauss-Seidel.
+  const SteadyStateResult automatic = steady_state(chain, initial);
+  EXPECT_EQ(automatic.solver_fallbacks, 0u);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(automatic.distribution[i], expected[i], 1e-10) << "state " << i;
+  }
+}
+
 TEST(FallbackLadder, KrylovBreakdownInSteadyStateFallsBackToSameAnswer) {
   const Ctmc chain = testing::figure3_chain(1.3, 0.7, 11.0, 5.0);
   util::fault::disarm_all();

@@ -117,11 +117,14 @@ TEST(Protocol, ParsesEngineField) {
       R"({"op": "analyze", "architecture": "a.arch", "engine": "compact"})");
   ASSERT_TRUE(compact.request.has_value());
   EXPECT_EQ(compact.request->engine, symbolic::ExplorationEngine::kCompact);
+  // The removed classic store's token is a bad request, naming the choices.
   const ParseResult classic = parse_request(
       R"({"op": "analyze", "architecture": "a.arch", "engine": "classic"})");
-  ASSERT_TRUE(classic.request.has_value());
-  EXPECT_EQ(classic.request->engine, symbolic::ExplorationEngine::kClassic);
-  // Omitted -> auto (per-model resolution).
+  ASSERT_FALSE(classic.request.has_value());
+  EXPECT_EQ(classic.error.code, "bad_request");
+  EXPECT_NE(classic.error.message.find("auto|compact"), std::string::npos)
+      << classic.error.message;
+  // Omitted -> auto (the plain, unreduced state space).
   const ParseResult implicit =
       parse_request(R"({"op": "analyze", "architecture": "a.arch"})");
   ASSERT_TRUE(implicit.request.has_value());

@@ -64,5 +64,26 @@ TEST(ServeSchema, ModelTypeAndStrategyAreDeclared) {
   EXPECT_EQ(values->at(1).as_string(), "mdp");
 }
 
+TEST(ServeSchema, EngineEnumMatchesTheParser) {
+  const util::JsonValue schema = util::JsonValue::parse(schema_text());
+  const util::JsonValue* engine = schema.find("properties")->find("engine");
+  ASSERT_NE(engine, nullptr);
+  const util::JsonValue* values = engine->find("enum");
+  ASSERT_NE(values, nullptr);
+  ASSERT_EQ(values->size(), 2u);
+  EXPECT_EQ(values->at(0).as_string(), "auto");
+  EXPECT_EQ(values->at(1).as_string(), "compact");
+  auto parses = [](const std::string& value) {
+    return parse_request(R"({"op": "analyze", "architecture": "a", "engine": ")" +
+                         value + R"("})")
+        .request.has_value();
+  };
+  for (size_t i = 0; i < values->size(); ++i) {
+    EXPECT_TRUE(parses(values->at(i).as_string())) << values->at(i).as_string();
+  }
+  // The removed store's token is neither declared nor accepted.
+  EXPECT_FALSE(parses("classic"));
+}
+
 }  // namespace
 }  // namespace autosec::service

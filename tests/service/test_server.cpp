@@ -303,6 +303,27 @@ INSTANTIATE_TEST_SUITE_P(
         UnknownMessageCase{"diagnose", R"("message": "ghost")"}),
     [](const auto& info) { return std::string(info.param.op); });
 
+TEST(ServerTest, DiagnoseCountsItsExploresAndHonoursTheStateBudget) {
+  Server server(deterministic_options());
+  const std::string request = "{\"op\": \"diagnose\", \"architecture\": \"" +
+                              arch_path() + "\", \"message\": \"m\", \"nmax\": 1";
+  const JsonValue ok = handle(server, request + ", \"id\": \"d1\"}");
+  ASSERT_TRUE(ok.bool_or("ok", false)) << ok.dump();
+  // Two explores per perturbed rate constant plus the unperturbed model
+  // behind the attribution and quantiles.
+  const size_t constants = ok.find("result")->find("criticality")->size();
+  ASSERT_GT(constants, 0u);
+  EXPECT_EQ(ok.find("metrics")->int_or("explores", -1),
+            static_cast<int64_t>(2 * constants + 1));
+  EXPECT_EQ(ok.find("metrics")->string_or("engine", ""), "compact");
+
+  const JsonValue budgeted =
+      handle(server, request + ", \"id\": \"d2\", \"max_states\": 2}");
+  EXPECT_FALSE(budgeted.bool_or("ok", true));
+  EXPECT_EQ(budgeted.find("error")->string_or("code", ""), "state_budget_exceeded")
+      << budgeted.dump();
+}
+
 TEST(ServerTest, UnparsablePropertyIsBadRequestBeforeAnySession) {
   Server server(deterministic_options());
   const JsonValue response = handle(
@@ -494,12 +515,12 @@ TEST(ServerTest, StateBudgetExceededYieldsTypedErrorWithDetail) {
 
 TEST(ServerTest, EngineChoiceIsVisibleInMetricsAndSplitsTheCacheKey) {
   Server server(deterministic_options());
-  const JsonValue classic = handle(server, analyze_line("e1"));
-  ASSERT_TRUE(classic.bool_or("ok", false)) << classic.dump();
-  // The paper architectures pack under 64 bits, so auto resolves to classic.
-  EXPECT_EQ(classic.find("metrics")->string_or("engine", ""), "classic");
-  // An explicit compact request is a different state enumeration: its own
-  // session entry, freshly explored, reported as compact.
+  const JsonValue automatic = handle(server, analyze_line("e1"));
+  ASSERT_TRUE(automatic.bool_or("ok", false)) << automatic.dump();
+  // There is one state store; every explored space reports it.
+  EXPECT_EQ(automatic.find("metrics")->string_or("engine", ""), "compact");
+  // An explicit compact request may reduce symmetric modules, a different
+  // state enumeration: its own session entry, freshly explored.
   const JsonValue compact =
       handle(server, analyze_line("e2", ", \"engine\": \"compact\""));
   ASSERT_TRUE(compact.bool_or("ok", false)) << compact.dump();
@@ -511,6 +532,11 @@ TEST(ServerTest, EngineChoiceIsVisibleInMetricsAndSplitsTheCacheKey) {
       handle(server, analyze_line("e3", ", \"engine\": \"warp\""));
   EXPECT_FALSE(bad.bool_or("ok", true));
   EXPECT_EQ(bad.find("error")->string_or("code", ""), "bad_request");
+  // So is the token of the removed classic store.
+  const JsonValue classic =
+      handle(server, analyze_line("e4", ", \"engine\": \"classic\""));
+  EXPECT_FALSE(classic.bool_or("ok", true));
+  EXPECT_EQ(classic.find("error")->string_or("code", ""), "bad_request");
 }
 
 TEST(ServerTest, InjectedEngineFaultEvictsEntryAndServerKeepsServing) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 
 #include "symbolic/builder.hpp"
@@ -30,14 +31,15 @@ CompiledModel model_of(std::vector<CompiledVariable> variables) {
 
 TEST(EngineToken, RoundTrips) {
   for (const ExplorationEngine engine :
-       {ExplorationEngine::kAuto, ExplorationEngine::kClassic,
-        ExplorationEngine::kCompact}) {
+       {ExplorationEngine::kAuto, ExplorationEngine::kCompact}) {
     const auto parsed = parse_engine_token(engine_token(engine));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, engine);
   }
   EXPECT_FALSE(parse_engine_token("fast").has_value());
   EXPECT_FALSE(parse_engine_token("").has_value());
+  // The removed vector-of-valuations store's token is unknown now.
+  EXPECT_FALSE(parse_engine_token("classic").has_value());
 }
 
 TEST(StateLayout, MinimumOneBitPerVariable) {
@@ -119,23 +121,22 @@ TEST(StateLayout, FieldsStraddlingWordBoundariesRoundTrip) {
 TEST(CompactStore, InternsDeduplicatesAndUnpacks) {
   const CompiledModel model =
       model_of({variable("x", 0, 100), variable("y", -50, 50, -50)});
-  const auto store = make_compact_store(model);
+  StateStore store(model);
   bool inserted = false;
   const std::vector<int32_t> first = {3, -7};
   const std::vector<int32_t> second = {3, 7};
-  EXPECT_EQ(store->intern(first, inserted), 0u);
+  EXPECT_EQ(store.intern(first, inserted), 0u);
   EXPECT_TRUE(inserted);
-  EXPECT_EQ(store->intern(second, inserted), 1u);
+  EXPECT_EQ(store.intern(second, inserted), 1u);
   EXPECT_TRUE(inserted);
-  EXPECT_EQ(store->intern(first, inserted), 0u);
+  EXPECT_EQ(store.intern(first, inserted), 0u);
   EXPECT_FALSE(inserted);
-  EXPECT_EQ(store->size(), 2u);
+  EXPECT_EQ(store.size(), 2u);
   std::vector<int32_t> out;
-  store->values_of(0, out);
+  store.values_of(0, out);
   EXPECT_EQ(out, first);
-  store->values_of(1, out);
+  store.values_of(1, out);
   EXPECT_EQ(out, second);
-  EXPECT_STREQ(store->name(), "compact");
 }
 
 TEST(CompactStore, TinyTableForcesCollisionsAndRehash) {
@@ -143,46 +144,54 @@ TEST(CompactStore, TinyTableForcesCollisionsAndRehash) {
   // probing, deep compares on colliding hashes, and repeated rehash growth.
   const CompiledModel model =
       model_of({variable("x", 0, 4999), variable("y", 0, 4999)});
-  const auto store = make_compact_store(model, 16);
+  StateStore store(model, 16);
   bool inserted = false;
   for (int32_t i = 0; i < 5000; ++i) {
     const std::vector<int32_t> values = {i, 4999 - i};
-    ASSERT_EQ(store->intern(values, inserted), static_cast<uint32_t>(i));
+    ASSERT_EQ(store.intern(values, inserted), static_cast<uint32_t>(i));
     ASSERT_TRUE(inserted);
   }
-  ASSERT_EQ(store->size(), 5000u);
+  ASSERT_EQ(store.size(), 5000u);
   // Every state survives the rehashes: ids are stable and dedup still works.
   std::vector<int32_t> out;
   for (int32_t i = 0; i < 5000; ++i) {
     const std::vector<int32_t> values = {i, 4999 - i};
-    ASSERT_EQ(store->intern(values, inserted), static_cast<uint32_t>(i));
+    ASSERT_EQ(store.intern(values, inserted), static_cast<uint32_t>(i));
     ASSERT_FALSE(inserted);
-    store->values_of(static_cast<size_t>(i), out);
+    store.values_of(static_cast<size_t>(i), out);
     ASSERT_EQ(out, values);
   }
 }
 
-TEST(ClassicStore, MatchesCompactIdAssignment) {
-  // Same intern() sequence -> identical ids on both backends, across both
-  // classic paths (packable and wide).
+TEST(StateStore, MatchesMapReferenceUnderCollisionsAndRehash) {
+  // Random intern() traffic with many repeats against a std::map reference
+  // that assigns ids in first-seen order: a 16-slot table forces collision
+  // chains and rehash growth, on a one-word layout and on a two-word layout
+  // whose third field straddles the word boundary.
   for (const int32_t high : {7, INT32_MAX}) {
     const CompiledModel model = model_of(
         {variable("a", 0, high), variable("b", 0, high), variable("c", 0, high)});
-    const auto classic = make_classic_store(model);
-    const auto compact = make_compact_store(model);
+    StateStore store(model, 16);
+    std::map<std::vector<int32_t>, uint32_t> reference;
     std::mt19937_64 rng(11);
-    for (int i = 0; i < 500; ++i) {
+    std::vector<int32_t> out;
+    for (int i = 0; i < 3000; ++i) {
+      const int32_t spread = high == 7 ? 8 : 40;
       const std::vector<int32_t> values = {
-          static_cast<int32_t>(rng() % 5), static_cast<int32_t>(rng() % 5),
-          static_cast<int32_t>(rng() % 5)};
-      bool classic_inserted = false;
-      bool compact_inserted = false;
-      const uint32_t classic_id = classic->intern(values, classic_inserted);
-      const uint32_t compact_id = compact->intern(values, compact_inserted);
-      ASSERT_EQ(classic_id, compact_id);
-      ASSERT_EQ(classic_inserted, compact_inserted);
+          static_cast<int32_t>(rng() % spread), static_cast<int32_t>(rng() % spread),
+          high == 7 ? static_cast<int32_t>(rng() % 8)
+                    : static_cast<int32_t>(high - static_cast<int32_t>(rng() % 3))};
+      const auto [it, fresh] =
+          reference.try_emplace(values, static_cast<uint32_t>(reference.size()));
+      bool inserted = false;
+      ASSERT_EQ(store.intern(values, inserted), it->second);
+      ASSERT_EQ(inserted, fresh);
     }
-    ASSERT_EQ(classic->size(), compact->size());
+    ASSERT_EQ(store.size(), reference.size());
+    for (const auto& [values, id] : reference) {
+      store.values_of(id, out);
+      ASSERT_EQ(out, values);
+    }
   }
 }
 
@@ -191,33 +200,12 @@ TEST(CompactStore, BytesPerStateTracksPackedWidth) {
   const CompiledModel wide = model_of(
       {variable("a", 0, INT32_MAX), variable("b", 0, INT32_MAX),
        variable("c", 0, INT32_MAX)});
-  EXPECT_EQ(make_compact_store(narrow)->bytes_per_state(), 8u + 8u);
-  EXPECT_EQ(make_compact_store(wide)->bytes_per_state(), 16u + 8u);
-  // The classic representation charges the vector header + payload + map
-  // entry regardless of packed width.
-  EXPECT_EQ(make_classic_store(wide)->bytes_per_state(),
-            sizeof(std::vector<int32_t>) + 3 * sizeof(int32_t) + 16);
+  EXPECT_EQ(StateStore(narrow).bytes_per_state(), 8u + 8u);
+  EXPECT_EQ(StateStore(wide).bytes_per_state(), 16u + 8u);
 }
 
-TEST(ResolveEngine, AutoPicksClassicUpTo64BitsCompactBeyond) {
-  const CompiledModel narrow =
-      model_of({variable("a", 0, INT32_MAX), variable("b", 0, INT32_MAX)});
-  // 31 + 31 + 3 = 65 bits: one past the classic packed-key fast path.
-  const CompiledModel wide = model_of(
-      {variable("a", 0, INT32_MAX), variable("b", 0, INT32_MAX),
-       variable("c", 0, 7)});
-  EXPECT_EQ(resolve_engine(ExplorationEngine::kAuto, narrow),
-            ExplorationEngine::kClassic);
-  EXPECT_EQ(resolve_engine(ExplorationEngine::kAuto, wide),
-            ExplorationEngine::kCompact);
-  EXPECT_EQ(resolve_engine(ExplorationEngine::kClassic, wide),
-            ExplorationEngine::kClassic);
-  EXPECT_EQ(resolve_engine(ExplorationEngine::kCompact, narrow),
-            ExplorationEngine::kCompact);
-}
-
-/// A model wide enough (>64 packed bits) that classic interning takes its
-/// vector-hash path and engine auto resolves to compact.
+/// A model wide enough (>64 packed bits) that each state packs into two
+/// words.
 Model wide_chain_model() {
   ModelBuilder b;
   auto& m = b.module("p");
@@ -234,32 +222,32 @@ Model wide_chain_model() {
   return b.build();
 }
 
-TEST(ExploreEngines, ClassicAndCompactProduceIdenticalSpaces) {
+TEST(ExploreEngines, AutoAndCompactProduceIdenticalSpaces) {
+  // Both engine tokens explore into the same store; on a model without
+  // interchangeable modules compact's reduction finds nothing to collapse,
+  // so the spaces are identical state for state and rate for rate.
   const auto compiled =
       std::make_shared<const CompiledModel>(compile(wide_chain_model()));
-  ExploreOptions classic_options;
-  classic_options.engine = ExplorationEngine::kClassic;
   ExploreOptions compact_options;
   compact_options.engine = ExplorationEngine::kCompact;
-  const StateSpace classic = explore(compiled, classic_options);
+  const StateSpace automatic = explore(compiled);
   const StateSpace compact = explore(compiled, compact_options);
 
-  EXPECT_STREQ(classic.engine_name(), "classic");
-  EXPECT_STREQ(compact.engine_name(), "compact");
-  ASSERT_EQ(classic.state_count(), compact.state_count());
-  EXPECT_EQ(classic.transition_count(), compact.transition_count());
-  EXPECT_EQ(classic.initial_state(), compact.initial_state());
-  for (size_t i = 0; i < classic.state_count(); ++i) {
-    ASSERT_EQ(classic.state_values(i), compact.state_values(i));
+  EXPECT_FALSE(compact.reduced());
+  ASSERT_EQ(automatic.state_count(), compact.state_count());
+  EXPECT_EQ(automatic.transition_count(), compact.transition_count());
+  EXPECT_EQ(automatic.initial_state(), compact.initial_state());
+  for (size_t i = 0; i < automatic.state_count(); ++i) {
+    ASSERT_EQ(automatic.state_values(i), compact.state_values(i));
   }
-  for (size_t r = 0; r < classic.state_count(); ++r) {
-    const auto cc = classic.rates().row_columns(r);
+  for (size_t r = 0; r < automatic.state_count(); ++r) {
+    const auto ac = automatic.rates().row_columns(r);
     const auto kc = compact.rates().row_columns(r);
-    ASSERT_EQ(std::vector<uint32_t>(cc.begin(), cc.end()),
+    ASSERT_EQ(std::vector<uint32_t>(ac.begin(), ac.end()),
               std::vector<uint32_t>(kc.begin(), kc.end()));
-    const auto cv = classic.rates().row_values(r);
+    const auto av = automatic.rates().row_values(r);
     const auto kv = compact.rates().row_values(r);
-    for (size_t k = 0; k < cv.size(); ++k) ASSERT_EQ(cv[k], kv[k]);
+    for (size_t k = 0; k < av.size(); ++k) ASSERT_EQ(av[k], kv[k]);
   }
 }
 

@@ -102,8 +102,7 @@ int main(int argc, char** argv) {
                    "lumping    lumped-quotient checking vs the full state space\n"
                    "parallel   1-thread vs N-thread batch solves (bit-exact)\n"
                    "roundtrip  writer -> parser identity for models and .arch files\n"
-                   "engine     compact vs classic state store (bit-exact) and the\n"
-                   "           symmetry-reduced quotient vs the full space\n"
+                   "engine     symmetry-reduced quotient vs the full space\n"
                    "mdp        MDP value iteration vs the exhaustive scheduler-\n"
                    "           enumeration oracle, and interval-iteration brackets\n"
                    "           vs the plain fixpoint\n"
