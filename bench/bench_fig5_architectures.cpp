@@ -7,12 +7,10 @@
 // The run doubles as the staged-engine benchmark. The figure's 27
 // (architecture, protection, category) analyses are computed three ways:
 //   1. serial baseline: one model per analysis, every solve sequential on a
-//      single thread, unbounded queries via pure Gauss-Seidel — the engine
-//      path before the staged session existed;
+//      single thread — the engine path before the staged session existed;
 //   2. staged engine, parallel fan: the same 27 independent sessions fanned
-//      across the 4-thread pool with the Krylov-accelerated fixpoint solver
-//      (the parallel kernels keep serial summation order, so results are
-//      deterministic at any thread count);
+//      across the 4-thread pool (the parallel kernels keep serial summation
+//      order, so results are deterministic at any thread count);
 //   3. staged engine, batch sessions: one EngineSession per (architecture,
 //      protection) whose batch model covers all three categories — 9
 //      compiles + explorations instead of 27, every property solved against
@@ -33,7 +31,6 @@
 #include "automotive/casestudy.hpp"
 #include "bench_util.hpp"
 #include "csl/checkpoint.hpp"
-#include "linalg/gauss_seidel.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
@@ -101,16 +98,14 @@ AnalysisOptions pair_options() {
 }
 
 /// Serial baseline: the seed engine path — one model compiled and explored
-/// per (architecture, protection, category), all solves sequential, unbounded
-/// queries solved by pure Gauss-Seidel sweeps (the seed's only method).
+/// per (architecture, protection, category), all solves sequential on one
+/// thread.
 std::vector<AnalysisResult> run_serial_baseline() {
   util::set_thread_count(1);
-  AnalysisOptions options = pair_options();
-  options.plan.method = linalg::FixpointMethod::kGaussSeidel;
   std::vector<AnalysisResult> results;
   for (const Task& task : tasks()) {
     results.push_back(analyze_message(cs::architecture(task.arch, task.protection),
-                                      cs::kMessage, task.category, options));
+                                      cs::kMessage, task.category, pair_options()));
   }
   return results;
 }

@@ -84,7 +84,8 @@ BreachAttributionResult first_breach_attribution(const Architecture& architectur
   // exactly that state.
   const ctmc::Ctmc stopped = chain.with_absorbing(violated);
   const std::vector<double> mass = ctmc::transient_distribution(
-      stopped, space.initial_distribution(), analysis.options().horizon_years);
+      stopped, space.initial_distribution(), analysis.options().horizon_years,
+      analysis.session()->transient_options());
 
   BreachAttributionResult result;
   for (size_t s = 0; s < mass.size(); ++s) {
@@ -145,9 +146,12 @@ double breach_time_quantile(const SecurityAnalysis& analysis, double quantile,
   const std::vector<bool> violated = analysis.space().label_mask(kViolatedLabel);
   const std::vector<double> initial = analysis.space().initial_distribution();
   const std::vector<bool> all(chain.state_count(), true);
+  // Every bisection step polls the request's cancel token and charges its
+  // budget, like the session's own solves.
+  const ctmc::TransientOptions transient = analysis.session()->transient_options();
 
   auto breach_probability = [&](double t) {
-    return ctmc::bounded_reachability(chain, initial, all, violated, t);
+    return ctmc::bounded_reachability(chain, initial, all, violated, t, transient);
   };
   if (breach_probability(max_years) < quantile) {
     return std::numeric_limits<double>::infinity();

@@ -72,7 +72,8 @@ BreachAttributionResult first_breach_attribution(const Architecture& architectur
                                                  const AnalysisOptions& options = {});
 /// The same decomposition on an analysis already built for the pair (its
 /// horizon and state space), so a caller that also needs quantiles explores
-/// the model once.
+/// the model once. The transient solve runs under the analysis's cancel
+/// token and budget and unwinds with util::Cancelled past its deadline.
 BreachAttributionResult first_breach_attribution(const Architecture& architecture,
                                                  const SecurityAnalysis& analysis);
 
@@ -80,7 +81,8 @@ BreachAttributionResult first_breach_attribution(const Architecture& architectur
 /// violated at least once with probability `quantile` — "by when are q% of
 /// vehicles breached?". Solved by bisection on P=?[F<=t "violated"]
 /// (monotone in t). Returns +infinity when even `max_years` does not reach
-/// the quantile (e.g. unreachable violations).
+/// the quantile (e.g. unreachable violations). Every bisection step polls the
+/// analysis's cancel token, so a request deadline stops the search.
 double breach_time_quantile(const SecurityAnalysis& analysis, double quantile,
                             double max_years = 100.0, double tolerance_years = 1e-4);
 

@@ -27,8 +27,6 @@
 #include "ctmc/transient.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/gauss_seidel.hpp"
-#include "linalg/krylov.hpp"
-#include "linalg/power_iteration.hpp"
 #include "linalg/vector_ops.hpp"
 #include "symbolic/builder.hpp"
 #include "symbolic/explorer.hpp"

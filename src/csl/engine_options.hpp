@@ -1,6 +1,6 @@
 // The one place engine knobs are defined. EngineOptions collects every
 // setting that used to be duplicated across csl::SessionOptions and
-// automotive::AnalysisOptions — solver choice and tolerances, transient
+// automotive::AnalysisOptions — solver tolerances, transient
 // truncation, exploration limits, constant overrides, the attacker bound
 // nmax, the analysis horizon, the worker-thread count, and the cooperative
 // cancellation token. The option structs embed it as their base, so
@@ -48,8 +48,8 @@ struct EngineOptions {
   SolverPlan plan;
   /// Uniformization truncation for time-bounded operators.
   ctmc::TransientOptions transient;
-  /// Long-run solves, including the fixpoint solver choice
-  /// (steady_state.solver.method: kAuto | kGaussSeidel | kKrylov).
+  /// Fixpoint solver tolerances for every unbounded solve (long-run,
+  /// reachability, reachability reward).
   ctmc::SteadyStateOptions steady_state;
   /// State-space exploration limits.
   symbolic::ExploreOptions explore;

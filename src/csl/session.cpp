@@ -31,6 +31,23 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// The failure contract of linalg::solve_fixpoint_or_throw, for the MDP
+/// value iterations: cancelled unwinds as util::Cancelled, unconverged as a
+/// solver_diverged failure at stage "solve".
+mdp::ViResult converged_or_throw(mdp::ViResult result, const char* what) {
+  if (result.cancelled) throw util::Cancelled("solve");
+  if (!result.converged) {
+    util::FailureProgress progress;
+    progress.iterations = result.iterations;
+    progress.residual = result.residual;
+    throw util::EngineFailure(util::FailureCode::kSolverDiverged, "solve",
+                              std::string(what) + " did not converge within " +
+                                  std::to_string(result.iterations) + " sweeps",
+                              progress);
+  }
+  return result;
+}
+
 /// Poll hook for the numeric kernels: a copy of the shared token, so the
 /// options structs stay valid even if the session re-arms mid-solve.
 std::function<bool()> poll_hook(const std::shared_ptr<util::CancelToken>& token) {
@@ -534,69 +551,19 @@ double EngineSession::evaluate_fresh(Stages& stages, const Property& property) {
   throw PropertyError("corrupt property kind");
 }
 
-std::vector<double> EngineSession::reachability_probabilities(
-    const ctmc::Ctmc& chain, const std::vector<bool>& target) {
-  // Prob0/Prob1 graph precomputation first: states that cannot reach the
-  // target are exactly 0, states that reach it almost surely are exactly 1.
-  // Only the genuinely uncertain states go through the numeric least-fixpoint
-  // x = A·x + b on the embedded DTMC (b = one-step probability into the
-  // certain set). Besides making the 0/1 answers exact, this strips every
-  // recurrent class out of the linear system — BSCC states are always
-  // classified — so the iterative solvers never see the near-1 eigenmodes of
-  // an almost-closed recurrent set.
-  const size_t n = chain.state_count();
-  const ctmc::ReachabilityClassification classes =
-      ctmc::classify_reachability(chain.rates(), target);
-  std::vector<double> x(n, 0.0);
-  bool any_uncertain = false;
-  for (size_t i = 0; i < n; ++i) {
-    if (classes.certain[i]) {
-      x[i] = 1.0;
-    } else if (classes.possible[i]) {
-      any_uncertain = true;
-    }
-  }
-  if (!any_uncertain) return x;
+std::vector<double> EngineSession::reachability(
+    const linalg::CsrMatrix& probabilities, const std::vector<bool>& target) {
+  size_t fallbacks = 0;
+  std::vector<double> values = ctmc::reachability_probabilities(
+      probabilities, target, steady_state_options().solver, "solve", &fallbacks);
+  count_fallbacks(fallbacks);
+  return values;
+}
 
-  const linalg::CsrMatrix embedded = chain.embedded_dtmc();
-  linalg::CsrBuilder block(n, n);
-  std::vector<double> one_step(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    if (classes.certain[i] || !classes.possible[i]) continue;
-    const auto cols = embedded.row_columns(i);
-    const auto vals = embedded.row_values(i);
-    for (size_t k = 0; k < cols.size(); ++k) {
-      if (classes.certain[cols[k]]) {
-        one_step[i] += vals[k];
-      } else if (classes.possible[cols[k]]) {
-        // Diagonal entries stay in the block; solve_fixpoint folds A_ii < 1
-        // into the update, and an uncertain state can never have A_ii = 1.
-        block.add(i, cols[k], vals[k]);
-      }
-      // Successors in the Prob0 set contribute nothing.
-    }
-  }
-  auto solved = linalg::solve_fixpoint(std::move(block).build(), one_step,
-                                       steady_state_options().solver);
-  if (solved.cancelled) throw util::Cancelled("solve");
-  if (solved.attempts.size() > 1) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.solver_fallbacks += solved.attempts.size() - 1;
-  }
-  if (!solved.converged) {
-    util::FailureProgress progress;
-    progress.iterations = solved.iterations;
-    progress.residual = solved.final_delta;
-    throw util::EngineFailure(
-        util::FailureCode::kSolverDiverged, "solve",
-        "reachability fixpoint failed on every solver rung (" +
-            std::to_string(solved.attempts.size()) + " attempted)",
-        progress);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!classes.certain[i] && classes.possible[i]) x[i] = solved.x[i];
-  }
-  return x;
+void EngineSession::count_fallbacks(size_t fallbacks) {
+  if (fallbacks == 0) return;
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.solver_fallbacks += fallbacks;
 }
 
 double EngineSession::check_until(Stages& stages, const Property& property) {
@@ -651,8 +618,8 @@ double EngineSession::check_until(Stages& stages, const Property& property) {
   }
   const std::vector<double> reach =
       any_forbidden
-          ? reachability_probabilities(chain.with_absorbing(absorbing), target)
-          : reachability_probabilities(chain, target);
+          ? reachability(chain.with_absorbing(absorbing).embedded_dtmc(), target)
+          : reachability(chain.embedded_dtmc(), target);
   return linalg::dot(initial, reach);
 }
 
@@ -716,7 +683,7 @@ double EngineSession::check_reward(Stages& stages, const Property& property) {
       // precomputation, so the finite/infinite classification is exact — no
       // numeric reach-probability threshold.
       const std::vector<bool> certain =
-          ctmc::almost_sure_reachability(chain.rates(), target);
+          ctmc::classify_reachability(chain.rates(), target).certain;
       const size_t n = chain.state_count();
       for (size_t i = 0; i < n; ++i) {
         if (initial[i] > 0.0 && !certain[i]) {
@@ -741,23 +708,10 @@ double EngineSession::check_reward(Stages& stages, const Property& property) {
           if (!target[cols[k]]) block.add(i, cols[k], vals[k]);
         }
       }
-      auto solved = linalg::solve_fixpoint(std::move(block).build(), base,
-                                           steady_state_options().solver);
-      if (solved.cancelled) throw util::Cancelled("solve");
-      if (solved.attempts.size() > 1) {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.solver_fallbacks += solved.attempts.size() - 1;
-      }
-      if (!solved.converged) {
-        util::FailureProgress progress;
-        progress.iterations = solved.iterations;
-        progress.residual = solved.final_delta;
-        throw util::EngineFailure(
-            util::FailureCode::kSolverDiverged, "solve",
-            "reachability reward fixpoint failed on every solver rung (" +
-                std::to_string(solved.attempts.size()) + " attempted)",
-            progress);
-      }
+      const linalg::IterativeResult solved = linalg::solve_fixpoint_or_throw(
+          std::move(block).build(), base, steady_state_options().solver, "solve",
+          "reachability reward");
+      count_fallbacks(solved.attempts.size() - 1);
       return linalg::dot(initial, solved.x);
     }
     default:
@@ -859,26 +813,17 @@ double EngineSession::mdp_until(Stages& stages, const Property& property,
 
   // Unbounded: interval iteration, so convergence is sound (plain value
   // iteration's step criterion can stop early on slowly-mixing models).
-  const mdp::ViResult result =
-      mdp::reachability(*q.query, q.target, maximize, mdp_vi_options(true));
-  if (result.cancelled) throw util::Cancelled("solve");
-  if (!result.converged) {
-    util::FailureProgress progress;
-    progress.iterations = result.iterations;
-    progress.residual = result.residual;
-    throw util::EngineFailure(util::FailureCode::kSolverDiverged, "solve",
-                              "mdp value iteration did not converge within " +
-                                  std::to_string(result.iterations) + " sweeps",
-                              progress);
-  }
+  const mdp::ViResult result = converged_or_throw(
+      mdp::reachability(*q.query, q.target, maximize, mdp_vi_options(true)),
+      "mdp value iteration");
   const double value = result.values[initial];
   if (strategy_out != nullptr) {
     strategy_out->bounded = false;
     strategy_out->rows = mdp::extract_reachability_strategy(
         *q.query, q.target, result, maximize, /*tolerance=*/1e-8);
     strategy_out->value = value;
-    const std::vector<double> induced = mdp::induced_reachability(
-        mdp::induced_chain(*q.query, strategy_out->rows), q.target);
+    const std::vector<double> induced =
+        reachability(mdp::induced_chain(*q.query, strategy_out->rows), q.target);
     strategy_out->induced_value = induced[initial];
     strategy_out->property = property.source;
     strategy_out->direction = maximize ? "max" : "min";
@@ -905,20 +850,10 @@ double EngineSession::mdp_reward(Stages& stages, const Property& property,
           .values[initial];
     case PropertyKind::kReachabilityReward: {
       const std::vector<bool> target = satisfying_in(stages, property.right);
-      const mdp::ViResult result = mdp::reachability_reward(
-          model, target, rewards, maximize, mdp_vi_options(false));
-      if (result.cancelled) throw util::Cancelled("solve");
-      if (!result.converged) {
-        util::FailureProgress progress;
-        progress.iterations = result.iterations;
-        progress.residual = result.residual;
-        throw util::EngineFailure(
-            util::FailureCode::kSolverDiverged, "solve",
-            "mdp reward iteration did not converge within " +
-                std::to_string(result.iterations) + " sweeps",
-            progress);
-      }
-      return result.values[initial];
+      return converged_or_throw(mdp::reachability_reward(model, target, rewards,
+                                                         maximize, mdp_vi_options(false)),
+                                "mdp reward iteration")
+          .values[initial];
     }
     default:
       throw PropertyError("mdp_reward: not a reward property");
@@ -1047,8 +982,8 @@ double EngineSession::induced_value(const Property& property,
       return mdp::induced_bounded_reachability(*q.query, strategy.schedule,
                                                q.target, initial);
     }
-    const std::vector<double> induced = mdp::induced_reachability(
-        mdp::induced_chain(*q.query, strategy.rows), q.target);
+    const std::vector<double> induced =
+        reachability(mdp::induced_chain(*q.query, strategy.rows), q.target);
     return induced[initial];
   } catch (const std::invalid_argument& e) {
     // A chosen row outside its state's action range (e.g. from an edited

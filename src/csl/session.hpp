@@ -69,7 +69,7 @@ struct SessionStats {
   size_t uniformize_count = 0;
   size_t steady_state_count = 0;
   size_t check_count = 0;
-  /// Solver rungs taken beyond the first (Krylov → Gauss-Seidel → power)
+  /// Solver rungs taken beyond the first (Krylov → Gauss-Seidel)
   /// across every solve of the session — 0 when every solve converged on its
   /// first rung; surfaced per request by the serving layer.
   size_t solver_fallbacks = 0;
@@ -191,6 +191,11 @@ class EngineSession {
   const SessionStats& stats() const { return stats_; }
   const SessionOptions& options() const { return options_; }
 
+  /// The configured transient options with the session's cancel token polled
+  /// and its budget charged: what a caller running ctmc:: kernels on the
+  /// session's space passes to stay under the request's deadline.
+  ctmc::TransientOptions transient_options() const;
+
  private:
   /// All artifacts derived from one constant-override key.
   struct Stages {
@@ -246,15 +251,16 @@ class EngineSession {
   double check_globally(Stages& stages, const Property& property);
   double check_steady_prob(Stages& stages, const Property& property);
   double check_reward(Stages& stages, const Property& property);
-  std::vector<double> reachability_probabilities(const ctmc::Ctmc& chain,
-                                                 const std::vector<bool>& target);
+  /// Pr[F target] per state of a probability matrix
+  /// (ctmc::reachability_probabilities) under the session's solver options
+  /// and cancel hook, at stage "solve"; fallbacks land in the stats.
+  std::vector<double> reachability(const linalg::CsrMatrix& probabilities,
+                                   const std::vector<bool>& target);
+  void count_fallbacks(size_t fallbacks);
 
   const ctmc::Uniformized& uniformized_of(Stages& stages);
   const ctmc::SteadyStateResult& steady_of(Stages& stages);
 
-  // Effective numeric options with the active cancel token's poll hook bound
-  // (pass-through copies when no token is armed).
-  ctmc::TransientOptions transient_options() const;
   ctmc::SteadyStateOptions steady_state_options() const;
   void check_cancel(const char* stage) const;
 

@@ -7,7 +7,6 @@ namespace autosec::csl {
 void apply_plan(const SolverPlan& plan, EngineOptions& options) {
   options.explore.engine = plan.engine;
   options.explore.reduction = plan.reduction;
-  options.steady_state.solver.method = plan.method;
 }
 
 SolverPlan resolve_plan(SolverPlan plan, const symbolic::StateSpace& space) {

@@ -127,8 +127,12 @@ double expected_cumulative_reward(const Ctmc& chain, const std::vector<double>& 
     // No movement: the chain sits in the initial distribution for all of [0,t].
     return t * linalg::dot(initial, state_rewards);
   }
-  return expected_cumulative_reward(uniformize(chain, options), initial, state_rewards, t,
-                                    options);
+  // A temporary stage: hand its bytes back to the budget once used.
+  const Uniformized uniformized = uniformize(chain, options);
+  const double reward =
+      expected_cumulative_reward(uniformized, initial, state_rewards, t, options);
+  if (options.budget) options.budget->release_bytes(uniformized.bytes());
+  return reward;
 }
 
 double expected_instantaneous_reward(const Ctmc& chain,

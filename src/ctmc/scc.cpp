@@ -157,9 +157,48 @@ ReachabilityClassification classify_reachability(const linalg::CsrMatrix& adjace
   return out;
 }
 
-std::vector<bool> almost_sure_reachability(const linalg::CsrMatrix& adjacency,
-                                           const std::vector<bool>& target) {
-  return classify_reachability(adjacency, target).certain;
+std::vector<double> reachability_probabilities(
+    const linalg::CsrMatrix& probabilities, const std::vector<bool>& target,
+    const linalg::IterativeOptions& solver, const char* stage,
+    size_t* fallbacks) {
+  const size_t n = probabilities.rows();
+  const ReachabilityClassification classes =
+      classify_reachability(probabilities, target);
+  std::vector<double> values(n, 0.0);
+  std::vector<uint32_t> uncertain;
+  std::vector<uint32_t> index_of(n, 0);
+  for (uint32_t s = 0; s < n; ++s) {
+    if (classes.certain[s]) {
+      values[s] = 1.0;
+    } else if (classes.possible[s]) {
+      index_of[s] = static_cast<uint32_t>(uncertain.size());
+      uncertain.push_back(s);
+    }
+  }
+  if (uncertain.empty()) return values;
+
+  // index_of is monotone, so each block row keeps ascending columns. Diagonal
+  // entries stay in the block: the solver folds A_ii < 1 into the update, and
+  // an uncertain state can never have A_ii = 1. Successors in the Prob0 set
+  // contribute nothing.
+  linalg::CsrBuilder block(uncertain.size(), uncertain.size());
+  std::vector<double> one_step(uncertain.size(), 0.0);
+  for (size_t i = 0; i < uncertain.size(); ++i) {
+    const auto cols = probabilities.row_columns(uncertain[i]);
+    const auto vals = probabilities.row_values(uncertain[i]);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      if (classes.certain[cols[k]]) {
+        one_step[i] += vals[k];
+      } else if (classes.possible[cols[k]]) {
+        block.add(i, index_of[cols[k]], vals[k]);
+      }
+    }
+  }
+  const linalg::IterativeResult solved = linalg::solve_fixpoint_or_throw(
+      std::move(block).build(), one_step, solver, stage, "reachability");
+  if (fallbacks != nullptr) *fallbacks += solved.attempts.size() - 1;
+  for (size_t i = 0; i < uncertain.size(); ++i) values[uncertain[i]] = solved.x[i];
+  return values;
 }
 
 }  // namespace autosec::ctmc

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "linalg/csr_matrix.hpp"
+#include "linalg/gauss_seidel.hpp"
 
 namespace autosec::ctmc {
 
@@ -44,8 +45,18 @@ struct ReachabilityClassification {
 ReachabilityClassification classify_reachability(const linalg::CsrMatrix& adjacency,
                                                  const std::vector<bool>& target);
 
-/// The Prob1 set alone; see ReachabilityClassification::certain.
-std::vector<bool> almost_sure_reachability(const linalg::CsrMatrix& adjacency,
-                                           const std::vector<bool>& target);
+/// Pr[F target] per state of a probability matrix — the embedded DTMC of a
+/// CTMC, or the DTMC a memoryless strategy induces on an MDP. Prob0/Prob1
+/// (classify_reachability) settle the 0 and 1 states exactly; only the
+/// uncertain states enter x = A·x + b, with A the uncertain-to-uncertain
+/// block and b the one-step mass into the Prob1 set. Besides making the 0/1
+/// answers exact, this strips every recurrent class out of the linear system,
+/// so the solver never sees the near-1 eigenmodes of an almost-closed set.
+/// The solve runs under linalg::solve_fixpoint_or_throw at `stage`; when
+/// `fallbacks` is set, the rungs taken beyond the first are added to it.
+std::vector<double> reachability_probabilities(
+    const linalg::CsrMatrix& probabilities, const std::vector<bool>& target,
+    const linalg::IterativeOptions& solver, const char* stage,
+    size_t* fallbacks = nullptr);
 
 }  // namespace autosec::ctmc

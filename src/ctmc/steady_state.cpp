@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <string>
 
 #include "ctmc/scc.hpp"
 #include "ctmc/transient.hpp"
 #include "linalg/vector_ops.hpp"
-#include "util/cancel.hpp"
-#include "util/failure.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -17,30 +14,16 @@ namespace autosec::ctmc {
 
 namespace {
 
-/// solve_fixpoint plus the steady-state failure contract: cancellation
-/// unwinds as util::Cancelled, every rung beyond the first is added to
-/// `fallbacks`, and a ladder that fails on every rung unwinds as a typed
-/// solver_diverged failure at stage "steady_state".
-std::vector<double> solve_or_throw(const linalg::CsrMatrix& A,
-                                   const std::vector<double>& b,
-                                   const linalg::IterativeOptions& solver,
-                                   std::atomic<size_t>& fallbacks,
-                                   const char* what) {
-  auto solved = linalg::solve_fixpoint(A, b, solver);
-  if (solved.cancelled) throw util::Cancelled("steady_state");
-  if (solved.attempts.size() > 1) {
-    fallbacks.fetch_add(solved.attempts.size() - 1, std::memory_order_relaxed);
-  }
-  if (!solved.converged) {
-    util::FailureProgress progress;
-    progress.iterations = solved.iterations;
-    progress.residual = solved.final_delta;
-    throw util::EngineFailure(
-        util::FailureCode::kSolverDiverged, "steady_state",
-        std::string("steady_state: ") + what + " solve failed on every rung (" +
-            std::to_string(solved.attempts.size()) + " attempted)",
-        progress);
-  }
+/// A steady-state solve under the linalg failure contract (stage
+/// "steady_state"), with every rung beyond the first added to `fallbacks`.
+std::vector<double> solve_counted(const linalg::CsrMatrix& A,
+                                  const std::vector<double>& b,
+                                  const linalg::IterativeOptions& solver,
+                                  std::atomic<size_t>& fallbacks,
+                                  const char* what) {
+  linalg::IterativeResult solved =
+      linalg::solve_fixpoint_or_throw(A, b, solver, "steady_state", what);
+  fallbacks.fetch_add(solved.attempts.size() - 1, std::memory_order_relaxed);
   return std::move(solved.x);
 }
 
@@ -130,7 +113,7 @@ std::vector<double> bscc_stationary(const Ctmc& chain,
   const linalg::CsrMatrix A(m - 1, m - 1, std::move(offsets), std::move(columns),
                             std::move(values));
   const std::vector<double> visits =
-      solve_or_throw(A, b, solver, fallbacks, "stationary");
+      solve_counted(A, b, solver, fallbacks, "stationary");
 
   std::vector<double> pi(m);
   for (uint32_t j = 0; j < m; ++j) {
@@ -284,7 +267,7 @@ SteadyStateResult steady_state(const Ctmc& chain, const std::vector<double>& ini
           }
         }
       }
-      const std::vector<double> solved = solve_or_throw(
+      const std::vector<double> solved = solve_counted(
           transient_block, one_step, options.solver, fallbacks, "absorption");
       for (uint32_t local = 0; local < t; ++local) {
         absorb[b][transient_states[local]] = solved[local];

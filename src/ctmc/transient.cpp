@@ -51,6 +51,10 @@ size_t csr_bytes(size_t nonzeros, size_t rows) {
 
 }  // namespace
 
+size_t Uniformized::bytes() const {
+  return csr_bytes(transposed.nonzeros(), state_count) + (blocked ? blocked->bytes() : 0);
+}
+
 Uniformized uniformize(const Ctmc& chain, const TransientOptions& options) {
   util::metrics::registry().add("ctmc.uniformizations");
   Uniformized out;
@@ -83,8 +87,7 @@ Uniformized uniformize(const Ctmc& chain, const TransientOptions& options) {
 
   if (options.budget) {
     // Settle the charge to what the stage actually keeps.
-    const size_t kept = csr_bytes(out.transposed.nonzeros(), n) +
-                        (out.blocked ? out.blocked->bytes() : 0);
+    const size_t kept = out.bytes();
     if (kept < charged) {
       options.budget->release_bytes(charged - kept);
     } else if (kept > charged) {
@@ -175,7 +178,12 @@ std::vector<double> transient_distribution(const Ctmc& chain,
   check_distribution(chain.state_count(), initial);
   if (t < 0.0) throw std::invalid_argument("transient: negative time");
   if (t == 0.0 || chain.max_exit_rate() == 0.0) return initial;
-  return transient_distribution(uniformize(chain, options), initial, t, options);
+  // A temporary stage hands its bytes back once used, so repeated solves (a
+  // quantile bisection) charge the budget their peak, not their sum.
+  const Uniformized uniformized = uniformize(chain, options);
+  std::vector<double> result = transient_distribution(uniformized, initial, t, options);
+  if (options.budget) options.budget->release_bytes(uniformized.bytes());
+  return result;
 }
 
 double transient_probability(const Ctmc& chain, const std::vector<double>& initial,

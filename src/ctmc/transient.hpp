@@ -60,6 +60,9 @@ struct Uniformized {
   /// bit-identical products, so step() may use either form.
   std::optional<linalg::SellMatrix> blocked;
 
+  /// Heap bytes of the stage: what uniformize() leaves charged to a budget.
+  size_t bytes() const;
+
   /// next = current · P, computed as Pᵀ · current.
   void step(const std::vector<double>& current, std::vector<double>& next) const {
     if (blocked) {

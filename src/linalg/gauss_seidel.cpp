@@ -4,8 +4,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "linalg/krylov.hpp"
-#include "linalg/power_iteration.hpp"
+#include "util/cancel.hpp"
+#include "util/failure.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
 
@@ -53,15 +53,15 @@ SweepRows split_diagonal(const CsrMatrix& A) {
   return rows;
 }
 
-/// Gauss-Seidel sweeps for x = A·x + b — the original solver, now one of the
-/// methods solve_fixpoint dispatches between. Reports (never throws on)
-/// numerical trouble: a non-contracting diagonal, NaN/Inf in the iterate, or
-/// runaway growth all come back as diverged = true so the kAuto ladder can
-/// move to the next rung and single-method callers see a typed failure.
-IterativeResult fixpoint_gauss_seidel(const CsrMatrix& A,
-                                      const std::vector<double>& b,
-                                      const IterativeOptions& options) {
+}  // namespace
+
+IterativeResult solve_fixpoint_gauss_seidel(const CsrMatrix& A,
+                                            const std::vector<double>& b,
+                                            const IterativeOptions& options) {
   const size_t n = A.rows();
+  if (A.cols() != n || b.size() != n) {
+    throw std::invalid_argument("solve_fixpoint_gauss_seidel: dimension mismatch");
+  }
   IterativeResult result;
   result.x.assign(n, 0.0);
   std::vector<double>& x = result.x;
@@ -122,13 +122,14 @@ IterativeResult fixpoint_gauss_seidel(const CsrMatrix& A,
   return result;
 }
 
-}  // namespace
-
 namespace {
 
-/// Per-method solver counters/gauges; the residual gauge keeps the last
-/// solve's final delta visible in metrics dumps.
-IterativeResult record_solve(const char* method, IterativeResult result) {
+/// Log one rung's outcome: an entry in the result's attempt log, and the
+/// per-method solver counters; the residual gauge keeps the last solve's
+/// final delta visible in metrics dumps.
+IterativeResult record_rung(const char* method, IterativeResult result) {
+  result.attempts.push_back({method, result.iterations, result.final_delta,
+                             result.converged, result.diverged});
   util::metrics::Registry& metrics = util::metrics::registry();
   if (metrics.enabled()) {
     metrics.add("solver.fixpoint_solves");
@@ -141,60 +142,40 @@ IterativeResult record_solve(const char* method, IterativeResult result) {
   return result;
 }
 
-/// Append this rung's outcome to the result's attempt log.
-IterativeResult with_attempt(const char* method, IterativeResult result) {
-  result.attempts.push_back({method, result.iterations, result.final_delta,
-                             result.converged, result.diverged});
-  return result;
-}
-
-/// Carry the attempt log of earlier rungs into the rung that replaced them.
-IterativeResult inherit_attempts(IterativeResult result,
-                                 const IterativeResult& earlier) {
-  result.attempts.insert(result.attempts.begin(), earlier.attempts.begin(),
-                         earlier.attempts.end());
-  return result;
-}
-
 }  // namespace
 
 IterativeResult solve_fixpoint(const CsrMatrix& A, const std::vector<double>& b,
                                const IterativeOptions& options) {
-  const size_t n = A.rows();
-  if (A.cols() != n || b.size() != n) {
-    throw std::invalid_argument("solve_fixpoint: dimension mismatch");
+  // Each rung checks the dimensions itself. Gauss-Seidel only runs when
+  // BiCGSTAB broke down, diverged or stagnated; the result carries one attempt
+  // entry per rung taken so a degraded solve is visible to callers and metrics.
+  IterativeResult krylov = record_rung("krylov", solve_fixpoint_krylov(A, b, options));
+  if (krylov.converged || krylov.cancelled) return krylov;
+  util::metrics::registry().add("solver.krylov_fallbacks");
+  IterativeResult gs =
+      record_rung("gauss_seidel", solve_fixpoint_gauss_seidel(A, b, options));
+  gs.attempts.insert(gs.attempts.begin(), krylov.attempts.begin(),
+                     krylov.attempts.end());
+  return gs;
+}
+
+IterativeResult solve_fixpoint_or_throw(const CsrMatrix& A,
+                                        const std::vector<double>& b,
+                                        const IterativeOptions& options,
+                                        const char* stage, std::string_view what) {
+  IterativeResult solved = solve_fixpoint(A, b, options);
+  if (solved.cancelled) throw util::Cancelled(stage);
+  if (!solved.converged) {
+    util::FailureProgress progress;
+    progress.iterations = solved.iterations;
+    progress.residual = solved.final_delta;
+    throw util::EngineFailure(
+        util::FailureCode::kSolverDiverged, stage,
+        std::string(what) + " fixpoint failed on every solver rung (" +
+            std::to_string(solved.attempts.size()) + " attempted)",
+        progress);
   }
-  switch (options.method) {
-    case FixpointMethod::kGaussSeidel:
-      return record_solve(
-          "gauss_seidel",
-          with_attempt("gauss_seidel", fixpoint_gauss_seidel(A, b, options)));
-    case FixpointMethod::kKrylov:
-      return record_solve(
-          "krylov", with_attempt("krylov", solve_fixpoint_krylov(A, b, options)));
-    case FixpointMethod::kAuto: {
-      // The fallback ladder: BiCGSTAB → Gauss-Seidel → Jacobi power. Each rung
-      // only runs when the one above broke down, diverged, or stagnated; the
-      // returned result carries one attempt entry per rung taken so degraded
-      // solves are visible to callers and metrics.
-      IterativeResult krylov = record_solve(
-          "krylov", with_attempt("krylov", solve_fixpoint_krylov(A, b, options)));
-      if (krylov.converged || krylov.cancelled) return krylov;
-      util::metrics::registry().add("solver.krylov_fallbacks");
-      IterativeResult gs = inherit_attempts(
-          record_solve("gauss_seidel", with_attempt("gauss_seidel",
-                                                    fixpoint_gauss_seidel(
-                                                        A, b, options))),
-          krylov);
-      if (gs.converged || gs.cancelled) return gs;
-      util::metrics::registry().add("solver.gauss_seidel_fallbacks");
-      return inherit_attempts(
-          record_solve("power", with_attempt("power", solve_fixpoint_power(
-                                                          A, b, options))),
-          gs);
-    }
-  }
-  throw std::logic_error("solve_fixpoint: unknown method");
+  return solved;
 }
 
 }  // namespace autosec::linalg

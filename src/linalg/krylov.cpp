@@ -1,4 +1,4 @@
-#include "linalg/krylov.hpp"
+#include "linalg/gauss_seidel.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -36,7 +36,7 @@ IterativeResult solve_fixpoint_krylov(const CsrMatrix& A,
 
   if (util::fault::triggered("krylov.breakdown")) {
     // Simulated breakdown on entry: a non-converged, diverged result that
-    // sends the kAuto ladder straight to the Gauss-Seidel rung.
+    // sends the ladder straight to the Gauss-Seidel rung.
     result.diverged = true;
     return result;
   }

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ctmc/scc.hpp"
-#include "linalg/gauss_seidel.hpp"
 #include "mdp/precompute.hpp"
 
 namespace autosec::mdp {
@@ -124,50 +122,6 @@ linalg::CsrMatrix induced_chain(const Mdp& mdp, const std::vector<int32_t>& rows
     }
   }
   return std::move(builder).build();
-}
-
-std::vector<double> induced_reachability(const linalg::CsrMatrix& chain,
-                                         const std::vector<bool>& target) {
-  const size_t states = chain.rows();
-  const ctmc::ReachabilityClassification classes =
-      ctmc::classify_reachability(chain, target);
-  std::vector<double> values(states, 0.0);
-  std::vector<uint32_t> uncertain;
-  std::vector<uint32_t> index_of(states, 0);
-  for (uint32_t s = 0; s < states; ++s) {
-    if (classes.certain[s]) {
-      values[s] = 1.0;
-    } else if (classes.possible[s]) {
-      index_of[s] = static_cast<uint32_t>(uncertain.size());
-      uncertain.push_back(s);
-    }
-  }
-  if (uncertain.empty()) return values;
-
-  // x = A x + b on the uncertain block: A keeps the uncertain-to-uncertain
-  // probabilities, b collects the one-step mass into the certain set.
-  linalg::CsrBuilder builder(uncertain.size(), uncertain.size());
-  std::vector<double> b(uncertain.size(), 0.0);
-  for (size_t i = 0; i < uncertain.size(); ++i) {
-    const uint32_t s = uncertain[i];
-    const auto columns = chain.row_columns(s);
-    const auto probabilities = chain.row_values(s);
-    for (size_t j = 0; j < columns.size(); ++j) {
-      const uint32_t t = columns[j];
-      if (classes.certain[t]) {
-        b[i] += probabilities[j];
-      } else if (classes.possible[t]) {
-        builder.add(i, index_of[t], probabilities[j]);
-      }
-    }
-  }
-  const linalg::IterativeResult solved =
-      linalg::solve_fixpoint(std::move(builder).build(), b);
-  if (!solved.converged) {
-    throw std::runtime_error("induced_reachability: linear solve did not converge");
-  }
-  for (size_t i = 0; i < uncertain.size(); ++i) values[uncertain[i]] = solved.x[i];
-  return values;
 }
 
 double induced_bounded_reachability(const Mdp& mdp,

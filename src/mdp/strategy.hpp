@@ -31,15 +31,11 @@ std::vector<int32_t> extract_reachability_strategy(const Mdp& mdp,
                                                    double tolerance);
 
 /// DTMC induced by a memoryless strategy: state s keeps exactly its chosen
-/// row; rows[s] == -1 becomes a probability-1 self-loop. Throws
+/// row; rows[s] == -1 becomes a probability-1 self-loop. Its unbounded
+/// reachability (ctmc::reachability_probabilities) is the independent
+/// re-check of a value-iteration answer. Throws
 /// std::invalid_argument on a size mismatch or a row outside its state.
 linalg::CsrMatrix induced_chain(const Mdp& mdp, const std::vector<int32_t>& rows);
-
-/// Pr[F target] per state of a stochastic chain (the induced DTMC), via
-/// graph classification plus an exact linear solve on the uncertain block.
-/// This is the independent re-check path: no value iteration involved.
-std::vector<double> induced_reachability(const linalg::CsrMatrix& chain,
-                                         const std::vector<bool>& target);
 
 /// Pr[F<=steps target] from `initial` under a per-step schedule (as produced
 /// by bounded_reachability), by backward recursion over the elapsed step.

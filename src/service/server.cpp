@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <new>
 #include <ostream>
 #include <span>
@@ -37,6 +38,7 @@
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
+#include "util/numeric.hpp"
 #include "util/parallel.hpp"
 
 namespace autosec::service {
@@ -81,16 +83,6 @@ std::string hex64(uint64_t value) {
   return out;
 }
 
-std::string_view solver_token(const std::optional<linalg::FixpointMethod>& solver) {
-  if (!solver) return "auto";
-  switch (*solver) {
-    case linalg::FixpointMethod::kAuto: return "auto";
-    case linalg::FixpointMethod::kGaussSeidel: return "gauss_seidel";
-    case linalg::FixpointMethod::kKrylov: return "krylov";
-  }
-  return "auto";
-}
-
 /// Categories of an analyze grid: explicit list or the standard three.
 std::vector<SecurityCategory> grid_categories(const Request& request) {
   if (!request.categories.empty()) return request.categories;
@@ -121,8 +113,6 @@ std::string make_key(uint64_t digest, const Request& request) {
   key += hex64(digest);
   key += ";nmax=";
   key += std::to_string(request.nmax);
-  key += ";solver=";
-  key += solver_token(request.solver);
   // Different engine → potentially different state enumeration (compact
   // turns symmetry reduction on); never share a cached session across
   // engine choices.
@@ -190,7 +180,6 @@ automotive::AnalysisOptions engine_options(
   options.horizon_years = request.horizon_years;
   options.constant_overrides = request.overrides;
   options.model_type = request.model_type;
-  if (request.solver) options.plan.method = *request.solver;
   options.plan.engine = request.engine;
   options.cancel = std::move(token);
   options.budget = std::move(budget);
@@ -1208,6 +1197,17 @@ int run_serve(const std::vector<std::string>& args, std::ostream& out,
         }
         return args[i];
       };
+      // A whole-string integer in [min, max]: negatives, trailing garbage and
+      // out-of-range values are refused, never wrapped or clamped.
+      const auto next_count = [&](int64_t min,
+                                  int64_t max = std::numeric_limits<int64_t>::max()) {
+        const std::optional<int64_t> value = util::parse_int(next_value());
+        if (!value || *value < min || *value > max) {
+          throw std::runtime_error("bad value for " + flag);
+        }
+        return *value;
+      };
+      constexpr int64_t kIntMax = std::numeric_limits<int>::max();
       if (flag == "--input") {
         options.input_path = next_value();
       } else if (flag == "--socket") {
@@ -1215,34 +1215,33 @@ int run_serve(const std::vector<std::string>& args, std::ostream& out,
       } else if (flag == "--tcp") {
         options.tcp_address = next_value();
       } else if (flag == "--workers") {
-        options.workers = static_cast<int>(std::stol(next_value()));
+        options.workers = static_cast<int>(next_count(0, kIntMax));
       } else if (flag == "--max-connections") {
-        options.max_connections = std::max<size_t>(1, std::stoul(next_value()));
+        options.max_connections = static_cast<size_t>(next_count(1));
       } else if (flag == "--max-inflight") {
-        options.max_inflight = static_cast<size_t>(std::stoul(next_value()));
+        options.max_inflight = static_cast<size_t>(next_count(0));
       } else if (flag == "--max-load-mb") {
-        options.max_load_mb = static_cast<size_t>(std::stoul(next_value()));
+        options.max_load_mb = static_cast<size_t>(next_count(0));
       } else if (flag == "--disk-cache") {
         options.disk_cache_dir = next_value();
       } else if (flag == "--disk-cache-mb") {
-        options.disk_cache_mb = static_cast<size_t>(std::stoul(next_value()));
+        options.disk_cache_mb = static_cast<size_t>(next_count(0));
       } else if (flag == "--checkpoint") {
         options.checkpoint_dir = next_value();
       } else if (flag == "--checkpoint-interval-ms") {
-        options.checkpoint_interval_ms =
-            static_cast<uint64_t>(std::stoull(next_value()));
+        options.checkpoint_interval_ms = static_cast<uint64_t>(next_count(0));
       } else if (flag == "--watchdog-ms") {
-        options.watchdog_ms = static_cast<uint64_t>(std::stoull(next_value()));
+        options.watchdog_ms = static_cast<uint64_t>(next_count(0));
       } else if (flag == "--config") {
         options.config_path = next_value();
       } else if (flag == "--cache-capacity") {
-        options.cache_capacity = static_cast<size_t>(std::stoul(next_value()));
+        options.cache_capacity = static_cast<size_t>(next_count(0));
       } else if (flag == "--default-timeout-ms") {
-        options.default_timeout_ms = std::stoll(next_value());
+        options.default_timeout_ms = next_count(0);
       } else if (flag == "--max-batch") {
-        options.max_batch = std::max<size_t>(1, std::stoul(next_value()));
+        options.max_batch = static_cast<size_t>(next_count(1));
       } else if (flag == "--threads") {
-        options.threads = static_cast<int>(std::stol(next_value()));
+        options.threads = static_cast<int>(next_count(0, kIntMax));
       } else if (flag == "--deterministic") {
         options.deterministic = true;
       } else {

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -16,8 +18,8 @@
 #include "ctmc/rewards.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
-#include "linalg/gauss_seidel.hpp"
 #include "linalg/sell_matrix.hpp"
+#include "linalg/vector_ops.hpp"
 #include "mdp/value_iteration.hpp"
 #include "symbolic/parser.hpp"
 #include "symbolic/writer.hpp"
@@ -139,79 +141,36 @@ std::pair<double, std::string> pick_horizon(uint64_t seed) {
   }
 }
 
-/// Pr[F target] = 1 from the initial distribution iff, with target made
-/// absorbing, every state reachable from the initial mass can still reach a
-/// target state (finite-chain almost-sure reachability). This is an
-/// independent reimplementation of the engine's Prob1 precomputation — a
-/// forward walk from the initial mass rather than two backward closures —
-/// used to differentially check the engine's finite/infinite classification
-/// of R{..}=?[F ..].
-bool almost_surely_reaches(const ctmc::Ctmc& chain, const std::vector<double>& initial,
-                           const std::vector<bool>& target) {
-  const size_t n = chain.state_count();
-  const linalg::CsrMatrix& rates = chain.rates();
-  // Backward reachability of target over the target-absorbed chain.
-  std::vector<std::vector<uint32_t>> predecessors(n);
-  for (size_t row = 0; row < n; ++row) {
-    if (target[row]) continue;  // absorbed: outgoing edges removed
-    const auto columns = rates.row_columns(row);
-    const auto values = rates.row_values(row);
-    for (size_t k = 0; k < columns.size(); ++k) {
-      if (values[k] > 0.0 && columns[k] != row) {
-        predecessors[columns[k]].push_back(static_cast<uint32_t>(row));
-      }
-    }
-  }
-  std::vector<bool> can_reach(n, false);
-  std::vector<uint32_t> stack;
-  for (size_t i = 0; i < n; ++i) {
-    if (target[i]) {
-      can_reach[i] = true;
-      stack.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  while (!stack.empty()) {
-    const uint32_t state = stack.back();
-    stack.pop_back();
-    for (const uint32_t pred : predecessors[state]) {
-      if (!can_reach[pred]) {
-        can_reach[pred] = true;
-        stack.push_back(pred);
-      }
-    }
-  }
-  // Forward sweep from the initial mass: a state that cannot reach target is
-  // a witness that the reach probability is below 1.
-  std::vector<bool> visited(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    if (initial[i] > 0.0 && !visited[i]) {
-      visited[i] = true;
-      stack.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  while (!stack.empty()) {
-    const uint32_t state = stack.back();
-    stack.pop_back();
-    if (!can_reach[state]) return false;
-    if (target[state]) continue;
-    const auto columns = rates.row_columns(state);
-    const auto values = rates.row_values(state);
-    for (size_t k = 0; k < columns.size(); ++k) {
-      if (values[k] > 0.0 && !visited[columns[k]]) {
-        visited[columns[k]] = true;
-        stack.push_back(columns[k]);
-      }
-    }
-  }
-  return true;
-}
+/// What a dense reference of an unbounded property reads.
+struct OracleInputs {
+  const StateSpace& space;
+  const ctmc::Ctmc& chain;
+  const std::vector<double>& initial;
+  const std::vector<double>& steady;  ///< oracle_steady_state, once per model
+  const OracleOptions& options;
+};
 
-/// Property texts exercised on a model: unbounded (the solver-differential
-/// set) and bounded (oracle/lumping/determinism sets) variants over its
-/// labels and reward structures.
+/// An unbounded property text, the oracle family that checks it, and its
+/// dense reference.
+struct UnboundedProperty {
+  std::string text;
+  const char* family;
+  std::function<double(const OracleInputs&)> reference;
+};
+
+/// Property texts exercised on a model: unbounded (each checked against its
+/// dense reference) and bounded (oracle/lumping/determinism sets) variants
+/// over its labels and reward structures.
 struct PropertySet {
-  std::vector<std::string> unbounded;
+  std::vector<UnboundedProperty> unbounded;
   std::vector<std::string> bounded;
+
+  /// Bounded texts followed by the unbounded ones.
+  std::vector<std::string> all() const {
+    std::vector<std::string> texts = bounded;
+    for (const UnboundedProperty& property : unbounded) texts.push_back(property.text);
+    return texts;
+  }
 };
 
 PropertySet build_properties(const Model& model, const std::string& t_text) {
@@ -220,18 +179,39 @@ PropertySet build_properties(const Model& model, const std::string& t_text) {
   for (const symbolic::LabelDecl& label : model.labels) {
     if (++labels > 2) break;
     const std::string quoted = "\"" + label.name + "\"";
-    set.unbounded.push_back("P=? [ F " + quoted + " ]");
-    set.unbounded.push_back("S=? [ " + quoted + " ]");
+    set.unbounded.push_back(
+        {"P=? [ F " + quoted + " ]", "oracle.reachability",
+         [name = label.name](const OracleInputs& in) {
+           return oracle_reachability(in.chain, in.initial, in.space.label_mask(name),
+                                      in.options);
+         }});
+    set.unbounded.push_back(
+        {"S=? [ " + quoted + " ]", "oracle.steady_probability",
+         [name = label.name](const OracleInputs& in) {
+           const std::vector<bool> mask = in.space.label_mask(name);
+           return std::transform_reduce(in.steady.begin(), in.steady.end(), mask.begin(),
+                                        0.0, std::plus<>(),
+                                        [](double p, bool member) { return member ? p : 0.0; });
+         }});
     set.bounded.push_back("P=? [ F<=" + t_text + " " + quoted + " ]");
   }
   size_t rewards = 0;
   for (const symbolic::RewardStructDecl& reward : model.rewards) {
     if (++rewards > 1) break;
     const std::string quoted = "\"" + reward.name + "\"";
-    set.unbounded.push_back("R{" + quoted + "}=? [ S ]");
+    set.unbounded.push_back({"R{" + quoted + "}=? [ S ]", "oracle.steady_reward",
+                             [name = reward.name](const OracleInputs& in) {
+                               return linalg::dot(in.steady, in.space.reward_vector(name));
+                             }});
     if (!model.labels.empty()) {
-      set.unbounded.push_back("R{" + quoted + "}=? [ F \"" + model.labels[0].name +
-                              "\" ]");
+      const std::string& target = model.labels[0].name;
+      set.unbounded.push_back(
+          {"R{" + quoted + "}=? [ F \"" + target + "\" ]", "oracle.reachability_reward",
+           [name = reward.name, target](const OracleInputs& in) {
+             return oracle_reachability_reward(in.chain, in.initial,
+                                               in.space.reward_vector(name),
+                                               in.space.label_mask(target), in.options);
+           }});
     }
     set.bounded.push_back("R{" + quoted + "}=? [ C<=" + t_text + " ]");
     set.bounded.push_back("R{" + quoted + "}=? [ I=" + t_text + " ]");
@@ -257,8 +237,8 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
   // finite/infinite via a backward graph precomputation; re-derive the same
   // answer with an independent forward walk and insist they agree.
   if (options.check_oracle && !model.labels.empty() && !model.rewards.empty()) {
-    const bool well_posed =
-        almost_surely_reaches(chain, initial, space->label_mask(model.labels[0].name));
+    const bool well_posed = oracle_almost_surely_reaches(
+        chain, initial, space->label_mask(model.labels[0].name));
     csl::EngineSession session(space);
     const double value = session.check("R{\"" + model.rewards[0].name + "\"}=? [ F \"" +
                                        model.labels[0].name + "\" ]");
@@ -279,11 +259,20 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
           "oracle.transient", seed, tag + "transient distribution at t=" + t_text,
           infinity_norm_difference(ctmc::transient_distribution(chain, initial, t),
                                    oracle_transient(chain, initial, t, oracle_options)));
-      harness.record(
-          "oracle.steady_state", seed, tag + "long-run distribution",
-          infinity_norm_difference(
-              ctmc::steady_state(chain, initial).distribution,
-              oracle_steady_state(chain, initial, oracle_options)));
+      const std::vector<double> steady =
+          oracle_steady_state(chain, initial, oracle_options);
+      harness.record("oracle.steady_state", seed, tag + "long-run distribution",
+                     infinity_norm_difference(
+                         ctmc::steady_state(chain, initial).distribution, steady));
+      // Every unbounded property through the session against its dense
+      // reference: the fixpoint ladder's only check against an independent
+      // exact route.
+      const OracleInputs inputs{*space, chain, initial, steady, oracle_options};
+      csl::EngineSession session(space);
+      for (const UnboundedProperty& property : properties.unbounded) {
+        harness.compare(property.family, seed, tag + property.text,
+                        session.check(property.text), property.reference(inputs));
+      }
       if (!model.rewards.empty()) {
         const std::vector<double> rewards = space->reward_vector(model.rewards[0].name);
         harness.compare(
@@ -310,30 +299,6 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
     }
   }
 
-  // --- (b) Krylov-first vs pure Gauss-Seidel on the unbounded properties.
-  if (options.check_solvers) {
-    csl::SessionOptions krylov;
-    krylov.plan.method = linalg::FixpointMethod::kAuto;
-    csl::SessionOptions gauss_seidel;
-    gauss_seidel.plan.method = linalg::FixpointMethod::kGaussSeidel;
-    csl::EngineSession krylov_session(space, krylov);
-    csl::EngineSession gs_session(space, gauss_seidel);
-    for (const std::string& text : properties.unbounded) {
-      try {
-        harness.compare("solver.krylov_vs_gauss_seidel", seed, tag + text,
-                        krylov_session.check(text), gs_session.check(text),
-                        options.solver_tolerance);
-      } catch (const csl::PropertyError& error) {
-        // Pure Gauss-Seidel legitimately runs out of sweeps on very stiff
-        // systems (escape probability near the roundoff floor). A reported
-        // non-convergence is not a silent disagreement — count it as a skip
-        // and let anything else propagate.
-        if (std::string(error.what()).find("converge") == std::string::npos) throw;
-        harness.record_skip("solver.krylov_vs_gauss_seidel");
-      }
-    }
-  }
-
   // --- (b') solve-kernel cross-check: the blocked SELL-C-σ kernel vs CSR,
   // bit-exact because the SELL kernel predicates on true row lengths and
   // sums each row in the same column order. The layout is pinned on the
@@ -354,11 +319,7 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
   // --- (c) lumped quotient vs full state space.
   if (options.check_lumping) {
     csl::EngineSession session(space);
-    std::vector<std::string> lumping_properties = properties.bounded;
-    for (const std::string& text : properties.unbounded) {
-      lumping_properties.push_back(text);
-    }
-    for (const std::string& text : lumping_properties) {
+    for (const std::string& text : properties.all()) {
       harness.compare("lumping.quotient_vs_full", seed, tag + text,
                       csl::check_lumped(*space, text).value, session.check(text));
     }
@@ -366,8 +327,7 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
 
   // --- (d) serial vs parallel determinism (bit-exact by contract).
   if (options.check_parallel) {
-    std::vector<std::string> all = properties.bounded;
-    for (const std::string& text : properties.unbounded) all.push_back(text);
+    const std::vector<std::string> all = properties.all();
 
     util::set_thread_count(1);
     csl::EngineSession serial_session(space);
@@ -391,8 +351,7 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
   // serve worker respawns. The per-process temp dir keeps concurrent test
   // runs from sharing snapshot files.
   if (options.check_checkpoint) {
-    std::vector<std::string> all = properties.bounded;
-    for (const std::string& text : properties.unbounded) all.push_back(text);
+    const std::vector<std::string> all = properties.all();
 
     namespace fs = std::filesystem;
     const fs::path dir =
@@ -435,8 +394,7 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
 
   // --- (f) symmetry-reduced quotient vs the full space.
   if (options.check_engine) {
-    std::vector<std::string> all = properties.bounded;
-    for (const std::string& text : properties.unbounded) all.push_back(text);
+    const std::vector<std::string> all = properties.all();
     csl::EngineSession full_session(space);
     const std::vector<double> full_values = full_session.check_all(all);
 

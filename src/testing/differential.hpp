@@ -4,9 +4,11 @@
 //
 //   oracle      transient / steady-state / cumulative / instantaneous reward
 //               and bounded reachability against the dense expm oracle
-//               (testing/oracle.hpp), on chains small enough to cube;
-//   solvers     Krylov (BiCGSTAB) vs pure Gauss-Seidel on every unbounded
-//               property (reachability, steady-state, reachability reward);
+//               (testing/oracle.hpp), on chains small enough to cube; and
+//               every unbounded property (P=?[F], R=?[F], S=?, R=?[S])
+//               through the session against a dense LU / squaring reference
+//               ("oracle.reachability", "oracle.reachability_reward",
+//               "oracle.steady_probability", "oracle.steady_reward");
 //   kernels     the blocked SELL-C-σ transient kernel vs the plain CSR
 //               kernel (bit-exact by contract);
 //   lumping     lumped-quotient checking vs the full-space engine;
@@ -48,11 +50,6 @@ struct DifferentialOptions {
   size_t iterations = 100;
   /// Engine-vs-oracle and cross-method tolerance on |a−b| / max(1, |a|, |b|).
   double tolerance = 1e-8;
-  /// Tolerance of the Krylov-vs-Gauss-Seidel family. Looser than the oracle
-  /// tolerance by design: on stiff chains the achievable Gauss-Seidel
-  /// accuracy is the sweep tolerance amplified by the system's condition
-  /// number (~1/(1−ρ)), which random stiff models push to 1e4 and beyond.
-  double solver_tolerance = 1e-6;
   /// Chains above this state count skip the dense-oracle checks (the other
   /// check families still run).
   size_t oracle_max_states = 200;
@@ -62,7 +59,6 @@ struct DifferentialOptions {
   size_t max_failures = 20;
 
   bool check_oracle = true;
-  bool check_solvers = true;
   bool check_kernels = true;
   bool check_lumping = true;
   bool check_parallel = true;

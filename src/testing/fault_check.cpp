@@ -9,7 +9,6 @@
 #include "ctmc/transient.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/gauss_seidel.hpp"
-#include "linalg/power_iteration.hpp"
 #include "service/server.hpp"
 #include "util/budget.hpp"
 #include "util/failure.hpp"
@@ -54,10 +53,9 @@ std::string write_arch_file() {
   return path.string();
 }
 
-std::string analyze_line(const std::string& arch_path, const std::string& id,
-                         const std::string& extra = "") {
+std::string analyze_line(const std::string& arch_path, const std::string& id) {
   return "{\"id\": \"" + id + "\", \"op\": \"analyze\", \"architecture\": \"" +
-         arch_path + "\"" + extra + "}";
+         arch_path + "\"}";
 }
 
 std::string error_code_of(const JsonValue& response) {
@@ -66,14 +64,14 @@ std::string error_code_of(const JsonValue& response) {
   return error->string_or("code", "");
 }
 
-/// One serve-level check: arm `site`, send a request, assert the outcome,
-/// then prove the same server answers a plain follow-up request.
+/// One serve-level check: arm `sites` (an AUTOSEC_FAULT spec), send a
+/// request, assert the outcome, then prove the same server answers a plain
+/// follow-up request.
 FaultCheckResult check_serve_fault(const std::string& arch_path,
-                                   const std::string& site,
-                                   const std::string& expected_code,
-                                   const std::string& request_extra = "") {
+                                   const std::string& sites,
+                                   const std::string& expected_code) {
   FaultCheckResult result;
-  result.site = site;
+  result.site = sites;
   result.expectation = "serve answers '" + expected_code + "' and keeps serving";
 
   service::ServerOptions options;
@@ -81,13 +79,13 @@ FaultCheckResult check_serve_fault(const std::string& arch_path,
   service::Server server(options);
 
   util::fault::disarm_all();
-  util::fault::arm_site(site);
-  const JsonValue faulted = JsonValue::parse(
-      server.handle_line(analyze_line(arch_path, "faulted", request_extra)));
+  util::fault::arm(sites);
+  const JsonValue faulted =
+      JsonValue::parse(server.handle_line(analyze_line(arch_path, "faulted")));
   util::fault::disarm_all();
 
   if (faulted.bool_or("ok", true)) {
-    result.detail = "request succeeded although '" + site + "' was armed";
+    result.detail = "request succeeded although '" + sites + "' was armed";
     return result;
   }
   const std::string code = error_code_of(faulted);
@@ -98,8 +96,8 @@ FaultCheckResult check_serve_fault(const std::string& arch_path,
   }
   // One-shot semantics: the fault was absorbed by one request; the worker —
   // and, for engine-side failures, a freshly rebuilt session — keeps serving.
-  const JsonValue follow_up = JsonValue::parse(
-      server.handle_line(analyze_line(arch_path, "follow-up", request_extra)));
+  const JsonValue follow_up =
+      JsonValue::parse(server.handle_line(analyze_line(arch_path, "follow-up")));
   if (!follow_up.bool_or("ok", false)) {
     result.detail =
         "follow-up request failed after the fault: " + error_code_of(follow_up);
@@ -249,11 +247,10 @@ FaultCheckReport run_fault_checks() {
       check_serve_fault(arch_path, "serve.dispatch.alloc", "oom"));
   report.results.push_back(
       check_serve_fault(arch_path, "solve.cancel", "timeout"));
-  // Pinned to the Gauss-Seidel method there is no ladder below the faulted
-  // rung — the solve fails with solver_diverged instead of degrading.
-  report.results.push_back(
-      check_serve_fault(arch_path, "gauss_seidel.diverge", "solver_diverged",
-                        ", \"solver\": \"gauss_seidel\""));
+  // Both rungs faulted: the ladder has nothing left, so the solve fails with
+  // solver_diverged instead of degrading.
+  report.results.push_back(check_serve_fault(
+      arch_path, "krylov.breakdown,gauss_seidel.diverge", "solver_diverged"));
 
   // Recoverable fault: BiCGSTAB breaks down, the ladder's Gauss-Seidel rung
   // answers, and the degradation is visible in the response metrics.
@@ -261,12 +258,10 @@ FaultCheckReport run_fault_checks() {
 
   // Kernel-level health: each rung reports honest divergence when faulted.
   report.results.push_back(check_kernel_diverged("krylov.breakdown", [] {
-    linalg::IterativeOptions options;
-    options.method = linalg::FixpointMethod::kKrylov;
-    return linalg::solve_fixpoint(tiny_fixpoint_matrix(), {1.0, 1.0}, options);
+    return linalg::solve_fixpoint_krylov(tiny_fixpoint_matrix(), {1.0, 1.0});
   }));
-  report.results.push_back(check_kernel_diverged("power.diverge", [] {
-    return linalg::solve_fixpoint_power(tiny_fixpoint_matrix(), {1.0, 1.0});
+  report.results.push_back(check_kernel_diverged("gauss_seidel.diverge", [] {
+    return linalg::solve_fixpoint_gauss_seidel(tiny_fixpoint_matrix(), {1.0, 1.0});
   }));
 
   return report;

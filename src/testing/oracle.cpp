@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -41,6 +42,51 @@ double mask_dot(const std::vector<double>& distribution, const std::vector<bool>
     if (mask[i]) sum += distribution[i];
   }
   return sum;
+}
+
+/// Closure of `set` under the edges of the target-absorbed graph (no edge
+/// leaves a target state), followed forward (successors) or backward
+/// (predecessors), by sweeping every edge until nothing is added.
+std::vector<bool> closure(const ctmc::Ctmc& chain, std::vector<bool> set,
+                          const std::vector<bool>& target, bool backward) {
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (uint32_t i = 0; i < set.size(); ++i) {
+      if (target[i]) continue;
+      const auto cols = chain.rates().row_columns(i);
+      const auto vals = chain.rates().row_values(i);
+      for (size_t k = 0; k < cols.size(); ++k) {
+        const uint32_t from = backward ? cols[k] : i;
+        const uint32_t to = backward ? i : cols[k];
+        if (vals[k] > 0.0 && set[from] && !set[to]) {
+          set[to] = true;
+          grew = true;
+        }
+      }
+    }
+  }
+  return set;
+}
+
+/// Solve (I − P_UU) x = rhs_U over the states with unknown[s], P the embedded
+/// jump chain P_ij = R_ij / E_i, by dense Gaussian elimination; every other
+/// row is the identity with a zero right-hand side, so x is 0 outside U.
+std::vector<double> solve_embedded(const ctmc::Ctmc& chain,
+                                   const std::vector<bool>& unknown,
+                                   std::vector<double> rhs) {
+  DenseMatrix system = DenseMatrix::identity(chain.state_count());
+  for (size_t s = 0; s < unknown.size(); ++s) {
+    if (!unknown[s]) {
+      rhs[s] = 0.0;
+      continue;
+    }
+    const auto cols = chain.rates().row_columns(s);
+    const auto vals = chain.rates().row_values(s);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      if (unknown[cols[k]]) system.at(s, cols[k]) -= vals[k] / chain.exit_rate(s);
+    }
+  }
+  return linalg::dense_solve(std::move(system), std::move(rhs));
 }
 
 }  // namespace
@@ -164,6 +210,75 @@ double oracle_steady_reward(const ctmc::Ctmc& chain, const std::vector<double>& 
                             const std::vector<double>& state_rewards,
                             const OracleOptions& options) {
   return dot(oracle_steady_state(chain, initial, options), state_rewards);
+}
+
+bool oracle_almost_surely_reaches(const ctmc::Ctmc& chain,
+                                  const std::vector<double>& initial,
+                                  const std::vector<bool>& target) {
+  // Forward from the initial mass: meeting a state that cannot reach the
+  // target at all witnesses Pr[F target] < 1.
+  std::vector<bool> start(chain.state_count(), false);
+  for (size_t s = 0; s < start.size(); ++s) start[s] = initial[s] > 0.0;
+  const std::vector<bool> visited = closure(chain, start, target, false);
+  const std::vector<bool> possible = closure(chain, target, target, true);
+  for (size_t s = 0; s < visited.size(); ++s) {
+    if (visited[s] && !possible[s]) return false;
+  }
+  return true;
+}
+
+double oracle_reachability(const ctmc::Ctmc& chain, const std::vector<double>& initial,
+                           const std::vector<bool>& target,
+                           const OracleOptions& options) {
+  check_size(chain, options);
+  // Prob>0 backward from the target; Prob1 is every state that cannot reach
+  // a Prob0 state. The rest are unknowns with the one-step mass into Prob1 on
+  // the right-hand side; each can leave the unknown set, so I − P_UU is
+  // nonsingular.
+  const size_t n = chain.state_count();
+  const std::vector<bool> possible = closure(chain, target, target, true);
+  std::vector<bool> impossible = possible;
+  impossible.flip();
+  std::vector<bool> certain = closure(chain, impossible, target, true);
+  certain.flip();
+  std::vector<bool> unknown(n, false);
+  std::vector<double> into_certain(n, 0.0);
+  for (size_t s = 0; s < n; ++s) {
+    unknown[s] = possible[s] && !certain[s];
+    if (!unknown[s]) continue;
+    const auto cols = chain.rates().row_columns(s);
+    const auto vals = chain.rates().row_values(s);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      if (certain[cols[k]]) into_certain[s] += vals[k] / chain.exit_rate(s);
+    }
+  }
+  const std::vector<double> x = solve_embedded(chain, unknown, std::move(into_certain));
+  double value = 0.0;
+  for (size_t s = 0; s < n; ++s) value += initial[s] * (certain[s] ? 1.0 : x[s]);
+  return value;
+}
+
+double oracle_reachability_reward(const ctmc::Ctmc& chain,
+                                  const std::vector<double>& initial,
+                                  const std::vector<double>& state_rewards,
+                                  const std::vector<bool>& target,
+                                  const OracleOptions& options) {
+  check_size(chain, options);
+  if (!oracle_almost_surely_reaches(chain, initial, target)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  // e_s = r_s / E_s + Σ_j P_sj e_j over the non-target states that can reach
+  // the target; every state the initial mass visits is among them, and each
+  // can leave the set, so the system is nonsingular.
+  const size_t n = chain.state_count();
+  const std::vector<bool> possible = closure(chain, target, target, true);
+  std::vector<bool> unknown(n, false);
+  std::vector<double> holding_reward(n, 0.0);
+  for (size_t s = 0; s < n; ++s) {
+    unknown[s] = possible[s] && !target[s];
+    if (unknown[s]) holding_reward[s] = state_rewards[s] / chain.exit_rate(s);
+  }
+  return dot(initial, solve_embedded(chain, unknown, std::move(holding_reward)));
 }
 
 std::vector<double> oracle_mdp_reachability(const mdp::Mdp& mdp,

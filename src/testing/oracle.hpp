@@ -15,6 +15,13 @@
 //                                                   fixpoint; aperiodicity is
 //                                                   guaranteed by q strictly
 //                                                   above every exit rate)
+//   reachability       (I − P_UU) x = P_U→1 · 1     (Gaussian elimination on
+//                                                   the embedded chain, with
+//                                                   Prob0/Prob1 from the
+//                                                   oracle's own graph walks)
+//   reachability       (I − P_UU) e = r_U / E_U     (likewise; infinite when the
+//     reward                                        target is missed with
+//                                                   positive probability)
 //
 // All of it is O(n^3)-dense and only feasible for small chains; the harness
 // keeps generated models at or below a couple hundred states.
@@ -79,6 +86,29 @@ double oracle_instantaneous_reward(const ctmc::Ctmc& chain,
 double oracle_steady_reward(const ctmc::Ctmc& chain, const std::vector<double>& initial,
                             const std::vector<double>& state_rewards,
                             const OracleOptions& options = {});
+
+/// Pr[F target] = 1 from the `initial` distribution: with the target
+/// absorbing, every state a forward walk from the initial mass visits can
+/// still reach a target state (finite-chain almost-sure reachability) — a
+/// forward walk rather than the engine's two backward closures. Graph-only,
+/// so it has no state limit.
+bool oracle_almost_surely_reaches(const ctmc::Ctmc& chain,
+                                  const std::vector<double>& initial,
+                                  const std::vector<bool>& target);
+
+/// Unbounded reachability Pr[F target] from `initial` (P=? [ F target ]).
+double oracle_reachability(const ctmc::Ctmc& chain, const std::vector<double>& initial,
+                           const std::vector<bool>& target,
+                           const OracleOptions& options = {});
+
+/// Expected state reward accumulated until the first target visit
+/// (R=? [ F target ]); +infinity when the target is missed with positive
+/// probability from `initial` (the PRISM convention).
+double oracle_reachability_reward(const ctmc::Ctmc& chain,
+                                  const std::vector<double>& initial,
+                                  const std::vector<double>& state_rewards,
+                                  const std::vector<bool>& target,
+                                  const OracleOptions& options = {});
 
 /// Per-state optimal unbounded reachability probabilities of an MDP, computed
 /// the slowest honest way: enumerate every memoryless scheduler (a uniformly

@@ -154,8 +154,7 @@ const std::vector<std::string>& known_sites() {
       "solve.cancel",        // session: cancellation at the solve boundary
       "solve.hang",          // session: hang (no safepoint crossed) at solve
       "krylov.breakdown",    // BiCGSTAB reports breakdown (forces rung 2)
-      "gauss_seidel.diverge",  // Gauss-Seidel reports divergence (forces rung 3)
-      "power.diverge",       // power rung reports divergence (whole ladder fails)
+      "gauss_seidel.diverge",  // Gauss-Seidel reports divergence (last rung)
       "serve.dispatch.alloc",  // serve: allocation failure before dispatch
   };
   return sites;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <algorithm>
+#include <memory>
 
 #include "automotive/casestudy.hpp"
 #include "util/budget.hpp"
@@ -251,6 +253,31 @@ TEST(BreachQuantile, InvalidArgumentsRejected) {
   EXPECT_THROW(breach_time_quantile(analysis, 0.0), std::invalid_argument);
   EXPECT_THROW(breach_time_quantile(analysis, 1.0), std::invalid_argument);
   EXPECT_THROW(breach_time_quantile(analysis, 0.5, -1.0), std::invalid_argument);
+}
+
+TEST(BreachQuantile, StopsAtTheRequestDeadline) {
+  // The deadline is armed only once the space is built, so exploration
+  // cannot be what notices it: the bisection's transient solves must poll.
+  AnalysisOptions options;
+  options.nmax = 2;
+  options.cancel = std::make_shared<util::CancelToken>();
+  const SecurityAnalysis analysis(cs::architecture(2, Protection::kUnencrypted),
+                                  cs::kMessage, SecurityCategory::kIntegrity, options);
+  analysis.space();
+  options.cancel->set_deadline_after(std::chrono::milliseconds(5));
+  EXPECT_THROW(breach_time_quantile(analysis, 0.5), util::Cancelled);
+}
+
+TEST(BreachAttribution, StopsOnACancelAfterExploration) {
+  AnalysisOptions options;
+  options.nmax = 1;
+  options.cancel = std::make_shared<util::CancelToken>();
+  const Architecture architecture = cs::architecture(1, Protection::kUnencrypted);
+  const SecurityAnalysis analysis(architecture, cs::kMessage,
+                                  SecurityCategory::kConfidentiality, options);
+  analysis.space();
+  options.cancel->cancel();
+  EXPECT_THROW(first_breach_attribution(architecture, analysis), util::Cancelled);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include "symbolic/builder.hpp"
 #include "symbolic/parser.hpp"
 #include "symbolic/writer.hpp"
+#include "util/failure.hpp"
+#include "util/fault.hpp"
 
 namespace autosec::csl {
 namespace {
@@ -167,6 +169,37 @@ TEST(MdpSession, CheckAllBatchesDirectionalProperties) {
   EXPECT_DOUBLE_EQ(values[1], 0.0);
   EXPECT_NEAR(values[2], 0.5, 1e-12);
   EXPECT_EQ(session.stats().explore_count, 1u);  // one shared state space
+}
+
+TEST(MdpSession, InducedRecheckWithBothRungsFaultedIsSolverDiverged) {
+  // The risky coin lands on "done" or on a dead end with equal odds, so the
+  // induced chain of the Pmax strategy needs a fixpoint solve at x=0.
+  EngineSession session(symbolic::parse_model(R"(mdp
+
+module gamble
+  x : [0..2] init 0;
+  [safe] x=0 -> 1:(x'=0);
+  [risky] x=0 -> 0.5:(x'=1) + 0.5:(x'=2);
+endmodule
+
+label "done" = x=2;
+)"));
+  const Property property = parse_property("Pmax=? [ F \"done\" ]");
+  const StrategyCheck checked = session.check_with_strategy(property);
+  EXPECT_NEAR(checked.strategy.induced_value, 0.5, 1e-12);
+
+  util::fault::disarm_all();
+  util::fault::arm_site("krylov.breakdown");
+  util::fault::arm_site("gauss_seidel.diverge");
+  try {
+    session.induced_value(property, checked.strategy);
+    util::fault::disarm_all();
+    FAIL() << "induced_value returned although both rungs were faulted";
+  } catch (const util::EngineFailure& failure) {
+    util::fault::disarm_all();
+    EXPECT_EQ(failure.code(), util::FailureCode::kSolverDiverged);
+    EXPECT_EQ(failure.stage(), "solve");
+  }
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include "symbolic/builder.hpp"
 #include "symbolic/parser.hpp"
+#include "util/failure.hpp"
+#include "util/fault.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -314,6 +316,34 @@ TEST(EngineSession, InfiniteReachabilityRewardResultStaysLegal) {
   EngineSession session(symbolic::parse_model(kLogRewardModel));
   EXPECT_EQ(session.check("R{\"one\"}=? [ F \"never\" ]"),
             std::numeric_limits<double>::infinity());
+}
+
+TEST(EngineSession, UnboundedReachabilityWithBothRungsFaultedIsSolverDiverged) {
+  // x=0 races to "broken" (x=1) against a dead end (x=2), so Pr[F broken]
+  // = 1/2 needs a fixpoint solve on the one uncertain state.
+  symbolic::ModelBuilder builder;
+  auto& m = builder.module("race");
+  m.variable("x", 0, 2, 0);
+  m.command(Expr::ident("x") == Expr::literal(0), Expr::literal(1.0),
+            {{"x", Expr::literal(1)}});
+  m.command(Expr::ident("x") == Expr::literal(0), Expr::literal(1.0),
+            {{"x", Expr::literal(2)}});
+  builder.label("broken", Expr::ident("x") == Expr::literal(1));
+  EngineSession session(builder.build());
+  EXPECT_NEAR(session.check("P=? [ F \"broken\" ]"), 0.5, 1e-12);
+
+  util::fault::disarm_all();
+  util::fault::arm_site("krylov.breakdown");
+  util::fault::arm_site("gauss_seidel.diverge");
+  try {
+    session.check("P=? [ F \"broken\" ]");
+    util::fault::disarm_all();
+    FAIL() << "check returned although both rungs were faulted";
+  } catch (const util::EngineFailure& failure) {
+    util::fault::disarm_all();
+    EXPECT_EQ(failure.code(), util::FailureCode::kSolverDiverged);
+    EXPECT_EQ(failure.stage(), "solve");
+  }
 }
 
 }  // namespace

@@ -26,7 +26,6 @@ TEST(SolverPlan, ApplyFansOutOntoEveryStageStruct) {
   EngineOptions options;
   options.plan.engine = symbolic::ExplorationEngine::kCompact;
   options.plan.reduction = symbolic::SymmetryReduction::kOff;
-  options.plan.method = linalg::FixpointMethod::kGaussSeidel;
   // Transient-stage fields are not plan knobs: a pinned reference layout
   // must survive the fan-out.
   options.transient.layout = linalg::MatrixLayout::kCsr;
@@ -35,7 +34,6 @@ TEST(SolverPlan, ApplyFansOutOntoEveryStageStruct) {
   apply_plan(options.plan, options);
   EXPECT_EQ(options.explore.engine, symbolic::ExplorationEngine::kCompact);
   EXPECT_EQ(options.explore.reduction, symbolic::SymmetryReduction::kOff);
-  EXPECT_EQ(options.steady_state.solver.method, linalg::FixpointMethod::kGaussSeidel);
   EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kCsr);
   EXPECT_FALSE(options.transient.steady_state_detection);
 }
@@ -53,17 +51,15 @@ TEST(SolverPlan, ResolveReportsTheBuiltSpace) {
   SessionOptions options;
   EngineSession session(tiny_model(), options);
   const SolverPlan resolved = resolve_plan(session.options().plan, session.space());
-  // Nothing stays kAuto for the knobs the space decides: engine and
-  // reduction come back as concrete choices; method resolves per solve.
+  // Nothing stays kAuto: engine and reduction come back as concrete choices.
   EXPECT_EQ(resolved.engine, symbolic::ExplorationEngine::kCompact);
   EXPECT_EQ(resolved.reduction, symbolic::SymmetryReduction::kOff);
-  EXPECT_EQ(resolved.method, linalg::FixpointMethod::kAuto);
 }
 
 TEST(SolverPlan, DefaultPlansCompareEqual) {
   EXPECT_EQ(SolverPlan{}, SolverPlan{});
   SolverPlan changed;
-  changed.method = linalg::FixpointMethod::kKrylov;
+  changed.reduction = symbolic::SymmetryReduction::kOn;
   EXPECT_FALSE(changed == SolverPlan{});
 }
 

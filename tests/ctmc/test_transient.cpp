@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 
+#include "ctmc/rewards.hpp"
 #include "ctmc_test_helpers.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/budget.hpp"
@@ -237,6 +238,25 @@ TEST(Transient, UniformizeBudgetSettlesToThePackedCopy) {
   EXPECT_FALSE(plain.blocked.has_value());
   EXPECT_EQ(options.budget->charged_bytes(), csr_bytes(plain.transposed));
   EXPECT_EQ(options.budget->peak_bytes(), csr_bytes(plain.transposed));
+}
+
+TEST(Transient, TemporaryStagesHandTheirChargeBack) {
+  // The chain-taking kernels build a uniformization, use it and free it; the
+  // budget must see each one's peak, not the sum over repeated calls (a
+  // breach-time bisection runs twenty of them).
+  const Ctmc chain = testing::figure3_chain();
+  const size_t kept = csr_bytes(uniformize(chain).transposed);
+  TransientOptions options;
+  options.budget = std::make_shared<util::ResourceBudget>(0, kept);
+  const std::vector<bool> all(chain.state_count(), true);
+  const std::vector<bool> target = {false, false, true};
+  for (int i = 0; i < 3; ++i) {
+    transient_distribution(chain, {1.0, 0.0, 0.0}, 1.0, options);
+    bounded_reachability(chain, {1.0, 0.0, 0.0}, all, target, 1.0, options);
+    expected_cumulative_reward(chain, {1.0, 0.0, 0.0}, {0.0, 1.0, 1.0}, 1.0, options);
+  }
+  EXPECT_EQ(options.budget->charged_bytes(), 0u);
+  EXPECT_GT(options.budget->peak_bytes(), 0u);
 }
 
 TEST(Transient, SteadyStateDetectionTruncatesLongHorizons) {

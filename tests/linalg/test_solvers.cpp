@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "linalg/gauss_seidel.hpp"
-#include "linalg/krylov.hpp"
-#include "linalg/power_iteration.hpp"
+#include "util/cancel.hpp"
+#include "util/failure.hpp"
 #include "util/fault.hpp"
 
 namespace autosec::linalg {
@@ -43,18 +43,17 @@ TEST(SolveFixpoint, HandlesDiagonalEntries) {
 }
 
 TEST(SolveFixpoint, DiagonalAtOneReportsDivergedAcrossLadder) {
-  // x = 1·x + 1 has no solution: every rung of the kAuto ladder must fail
-  // honestly (diverged, never converged) and each attempt must be recorded.
+  // x = 1·x + 1 has no solution: both rungs of the ladder must fail honestly
+  // (diverged, never converged) and each attempt must be recorded.
   CsrBuilder builder(1, 1);
   builder.add(0, 0, 1.0);
   const CsrMatrix A = std::move(builder).build();
   const IterativeResult result = solve_fixpoint(A, {1.0});
   EXPECT_FALSE(result.converged);
   EXPECT_TRUE(result.diverged);
-  ASSERT_EQ(result.attempts.size(), 3u);
+  ASSERT_EQ(result.attempts.size(), 2u);
   EXPECT_EQ(result.attempts[0].method, "krylov");
   EXPECT_EQ(result.attempts[1].method, "gauss_seidel");
-  EXPECT_EQ(result.attempts[2].method, "power");
   for (const RungAttempt& attempt : result.attempts) {
     EXPECT_FALSE(attempt.converged);
   }
@@ -74,38 +73,32 @@ CsrMatrix gambler_matrix() {
   return std::move(builder).build();
 }
 
-TEST(PowerIteration, MatchesGaussSeidelOnUniformizedChain) {
+TEST(SolveFixpointGaussSeidel, SolvesUniformizedVisitMeasure) {
   // Uniformize the 2-state chain (a=2, b=6) with q=10:
   // P = [[0.8, 0.2], [0.6, 0.4]]. With reference state 0 the visit measure
   // solves ν_1 = ν_1·P_11 + P_01, i.e. A = [0.4], b = [0.2], ν_1 = 1/3, and
-  // π ∝ (1, ν_1) = (0.75, 0.25). The power rung and Gauss-Seidel agree.
+  // π ∝ (1, ν_1) = (0.75, 0.25).
   CsrBuilder builder(1, 1);
   builder.add(0, 0, 0.4);
-  const CsrMatrix A = std::move(builder).build();
-  const auto power = solve_fixpoint_power(A, {0.2});
-  IterativeOptions gs;
-  gs.method = FixpointMethod::kGaussSeidel;
-  const auto reference = solve_fixpoint(A, {0.2}, gs);
-  ASSERT_TRUE(power.converged);
-  ASSERT_TRUE(reference.converged);
-  EXPECT_NEAR(power.x[0], 1.0 / 3.0, 1e-10);
-  EXPECT_NEAR(power.x[0], reference.x[0], 1e-10);
-  EXPECT_NEAR(1.0 / (1.0 + power.x[0]), 0.75, 1e-10);
+  const auto result = solve_fixpoint_gauss_seidel(std::move(builder).build(), {0.2});
+  ASSERT_TRUE(result.converged);
+  EXPECT_TRUE(result.attempts.empty());  // a direct rung call logs no ladder
+  EXPECT_NEAR(result.x[0], 1.0 / 3.0, 1e-10);
+  EXPECT_NEAR(1.0 / (1.0 + result.x[0]), 0.75, 1e-10);
 }
 
-TEST(PowerIteration, RequiresSquareMatrix) {
+TEST(SolveFixpointGaussSeidel, RequiresSquareMatrix) {
   CsrBuilder builder(1, 2);
   builder.add(0, 1, 1.0);
   const CsrMatrix A = std::move(builder).build();
-  EXPECT_THROW(solve_fixpoint_power(A, {1.0}), std::invalid_argument);
+  EXPECT_THROW(solve_fixpoint_gauss_seidel(A, {1.0}), std::invalid_argument);
 }
 
 TEST(IterativeOptions, MaxIterationsRespected) {
   IterativeOptions options;
-  options.method = FixpointMethod::kGaussSeidel;
   options.max_iterations = 1;
   options.tolerance = 0.0;  // unreachable
-  const auto result = solve_fixpoint(gambler_matrix(), {0.3, 0.0}, options);
+  const auto result = solve_fixpoint_gauss_seidel(gambler_matrix(), {0.3, 0.0}, options);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 1u);
 }
@@ -136,14 +129,10 @@ TEST(SolveFixpointKrylov, MatchesGaussSeidelOnStiffSystem) {
   std::vector<double> b(200, 0.0);
   for (size_t i = 0; i < b.size(); ++i) b[i] = 1e-3 * (1.0 + 0.001 * i);
 
-  IterativeOptions gs;
-  gs.method = FixpointMethod::kGaussSeidel;
-  const auto reference = solve_fixpoint(A, b, gs);
+  const auto reference = solve_fixpoint_gauss_seidel(A, b);
   ASSERT_TRUE(reference.converged);
 
-  IterativeOptions krylov;
-  krylov.method = FixpointMethod::kKrylov;
-  const auto accelerated = solve_fixpoint(A, b, krylov);
+  const auto accelerated = solve_fixpoint_krylov(A, b);
   ASSERT_TRUE(accelerated.converged);
   // Far fewer iterations (each Krylov step is two matvecs ~ two sweeps).
   EXPECT_LT(accelerated.iterations * 4, reference.iterations);
@@ -157,10 +146,8 @@ TEST(SolveFixpointKrylov, MatchesGaussSeidelOnStiffSystem) {
 TEST(SolveFixpointKrylov, DefaultAutoMethodAgreesWithBothBackends) {
   const CsrMatrix A = stiff_block(60, 1e-3);
   std::vector<double> b(60, 1e-3);
-  const auto auto_result = solve_fixpoint(A, b);  // kAuto is the default
-  IterativeOptions gs;
-  gs.method = FixpointMethod::kGaussSeidel;
-  const auto reference = solve_fixpoint(A, b, gs);
+  const auto auto_result = solve_fixpoint(A, b);  // the ladder
+  const auto reference = solve_fixpoint_gauss_seidel(A, b);
   ASSERT_TRUE(auto_result.converged);
   ASSERT_TRUE(reference.converged);
   for (size_t i = 0; i < b.size(); ++i) {
@@ -193,10 +180,8 @@ TEST(FallbackLadder, ForcedKrylovBreakdownMatchesDirectGaussSeidel) {
   // A breakdown in rung 1 must hand the UNCHANGED problem to rung 2: the
   // ladder's Gauss-Seidel answer is bit-for-bit the direct Gauss-Seidel one.
   util::fault::disarm_all();
-  IterativeOptions direct_options;
-  direct_options.method = FixpointMethod::kGaussSeidel;
   const IterativeResult direct =
-      solve_fixpoint(gambler_matrix(), {0.3, 0.0}, direct_options);
+      solve_fixpoint_gauss_seidel(gambler_matrix(), {0.3, 0.0});
   ASSERT_TRUE(direct.converged);
 
   util::fault::arm_site("krylov.breakdown");
@@ -216,35 +201,60 @@ TEST(FallbackLadder, ForcedKrylovBreakdownMatchesDirectGaussSeidel) {
   EXPECT_EQ(laddered.iterations, direct.iterations);
 }
 
-TEST(FallbackLadder, ForcedDoubleFaultReachesPowerRung) {
-  util::fault::disarm_all();
-  util::fault::arm_site("krylov.breakdown");
-  util::fault::arm_site("gauss_seidel.diverge");
-  const IterativeResult result = solve_fixpoint(gambler_matrix(), {0.3, 0.0});
-  util::fault::disarm_all();
-
-  ASSERT_TRUE(result.converged);
-  ASSERT_EQ(result.attempts.size(), 3u);
-  EXPECT_EQ(result.attempts[2].method, "power");
-  EXPECT_TRUE(result.attempts[2].converged);
-  EXPECT_NEAR(result.x[0], 6.0 / 13.0, 1e-10);
-  EXPECT_NEAR(result.x[1], 3.0 / 13.0, 1e-10);
-}
-
 TEST(FallbackLadder, AllRungsFaultedReportsFullDiagnostics) {
   util::fault::disarm_all();
   util::fault::arm_site("krylov.breakdown");
   util::fault::arm_site("gauss_seidel.diverge");
-  util::fault::arm_site("power.diverge");
   const IterativeResult result = solve_fixpoint(gambler_matrix(), {0.3, 0.0});
   util::fault::disarm_all();
 
+  // Both rungs faulted: nothing is left below Gauss-Seidel.
   EXPECT_FALSE(result.converged);
   EXPECT_TRUE(result.diverged);
-  ASSERT_EQ(result.attempts.size(), 3u);
+  ASSERT_EQ(result.attempts.size(), 2u);
   for (const RungAttempt& attempt : result.attempts) {
     EXPECT_FALSE(attempt.converged) << attempt.method;
     EXPECT_TRUE(attempt.diverged) << attempt.method;
+  }
+}
+
+// --- the failure contract (solve_fixpoint_or_throw) ---
+
+TEST(SolveFixpointOrThrow, ReturnsTheConvergedLadderResult) {
+  const IterativeResult result = solve_fixpoint_or_throw(
+      gambler_matrix(), {0.3, 0.0}, {}, "solve", "gambler");
+  ASSERT_TRUE(result.converged);
+  EXPECT_EQ(result.attempts.size(), 1u);
+  EXPECT_NEAR(result.x[0], 6.0 / 13.0, 1e-10);
+}
+
+TEST(SolveFixpointOrThrow, FailedLadderIsSolverDivergedAtTheCallersStage) {
+  util::fault::disarm_all();
+  util::fault::arm_site("krylov.breakdown");
+  util::fault::arm_site("gauss_seidel.diverge");
+  try {
+    solve_fixpoint_or_throw(gambler_matrix(), {0.3, 0.0}, {}, "steady_state",
+                            "absorption");
+    util::fault::disarm_all();
+    FAIL() << "returned although both rungs were faulted";
+  } catch (const util::EngineFailure& failure) {
+    util::fault::disarm_all();
+    EXPECT_EQ(failure.code(), util::FailureCode::kSolverDiverged);
+    EXPECT_EQ(failure.stage(), "steady_state");
+    EXPECT_TRUE(failure.progress().iterations.has_value());
+    EXPECT_TRUE(failure.progress().residual.has_value());
+    EXPECT_NE(std::string(failure.what()).find("absorption"), std::string::npos);
+  }
+}
+
+TEST(SolveFixpointOrThrow, CancelledSolveUnwindsAsCancelled) {
+  IterativeOptions options;
+  options.cancelled = [] { return true; };
+  try {
+    solve_fixpoint_or_throw(gambler_matrix(), {0.3, 0.0}, options, "solve", "gambler");
+    FAIL() << "returned although the cancel hook fired";
+  } catch (const util::Cancelled& cancelled) {
+    EXPECT_EQ(cancelled.stage(), "solve");
   }
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "ctmc/scc.hpp"
 #include "mdp/mdp.hpp"
 #include "mdp/value_iteration.hpp"
 
@@ -31,6 +32,11 @@ Mdp gadget() {
 }
 
 const std::vector<bool> kTarget = {false, false, true, false};
+
+std::vector<double> induced_reachability(const linalg::CsrMatrix& chain,
+                                         const std::vector<bool>& target) {
+  return ctmc::reachability_probabilities(chain, target, {}, "solve");
+}
 
 TEST(Strategy, ExtractedMaxStrategyReproducesTheValue) {
   const Mdp m = gadget();

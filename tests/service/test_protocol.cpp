@@ -15,8 +15,7 @@ TEST(Protocol, ParsesAnalyzeRequest) {
       R"({"id": "r1", "op": "analyze", "architecture": "a.arch",
           "messages": ["m1", "m2"], "categories": ["integrity"],
           "nmax": 2, "horizon_years": 3.5,
-          "overrides": {"phi_gw": 8.0}, "timeout_ms": 250,
-          "solver": "gauss_seidel"})");
+          "overrides": {"phi_gw": 8.0}, "timeout_ms": 250})");
   ASSERT_TRUE(parsed.request.has_value());
   const Request& request = *parsed.request;
   EXPECT_EQ(request.id, "r1");
@@ -31,8 +30,6 @@ TEST(Protocol, ParsesAnalyzeRequest) {
   EXPECT_EQ(request.overrides[0].first, "phi_gw");
   ASSERT_TRUE(request.timeout_ms.has_value());
   EXPECT_EQ(*request.timeout_ms, 250);
-  ASSERT_TRUE(request.solver.has_value());
-  EXPECT_EQ(*request.solver, linalg::FixpointMethod::kGaussSeidel);
 }
 
 TEST(Protocol, ParsesCheckSweepDiagnoseStatus) {
@@ -83,6 +80,19 @@ TEST(Protocol, UnknownFieldsFailLoudly) {
             std::string::npos);
 }
 
+TEST(Protocol, RemovedSolverFieldIsRejected) {
+  // Every unbounded solve runs the one BiCGSTAB → Gauss-Seidel ladder; a
+  // request that still pins a method is refused, never silently ignored.
+  for (const char* value : {"auto", "gauss_seidel", "krylov"}) {
+    const ParseResult parsed = parse_request(
+        std::string(R"({"op": "analyze", "architecture": "a.arch", "solver": ")") +
+        value + "\"}");
+    EXPECT_FALSE(parsed.request.has_value()) << value;
+    EXPECT_EQ(parsed.error.code, "bad_request") << value;
+    EXPECT_EQ(parsed.error.message, "unknown field 'solver'") << value;
+  }
+}
+
 TEST(Protocol, ValidatesFieldTypesAndRanges) {
   EXPECT_FALSE(
       parse_request(R"({"op": "analyze", "architecture": 7})").request.has_value());
@@ -100,9 +110,6 @@ TEST(Protocol, ValidatesFieldTypesAndRanges) {
                    .request.has_value());
   EXPECT_FALSE(parse_request(R"({"op": "analyze", "architecture": "a",
                                  "timeout_ms": -1})")
-                   .request.has_value());
-  EXPECT_FALSE(parse_request(R"({"op": "analyze", "architecture": "a",
-                                 "solver": "cg"})")
                    .request.has_value());
   EXPECT_FALSE(parse_request(R"({"op": "analyze", "architecture": "a",
                                  "categories": ["secrecy"]})")

@@ -411,13 +411,14 @@ TEST(ServerTest, NonStringIdMatchesGolden) {
 
 TEST(ServerTest, RemovedRequestFieldMatchesGolden) {
   // Retired solver-kernel fields (layout, gs_ordering, reorder,
-  // steady_state_detection) are refused as unknown, never silently ignored.
+  // steady_state_detection, solver) are refused as unknown, never silently
+  // ignored.
   Server server(deterministic_options());
   const std::string response =
       server.handle_line(R"({"id":"r","op":"status","reorder":"rcm"})");
   EXPECT_EQ(response, read_golden("removed_field.json"));
   for (const char* field :
-       {"layout", "gs_ordering", "reorder", "steady_state_detection"}) {
+       {"layout", "gs_ordering", "reorder", "steady_state_detection", "solver"}) {
     const JsonValue refused = handle(
         server, std::string(R"({"id":"r","op":"status",")") + field + R"(":null})");
     EXPECT_EQ(refused.find("error")->string_or("message", ""),
@@ -954,6 +955,34 @@ TEST(SessionCacheTest, DigestIsContentSensitive) {
   EXPECT_EQ(fnv1a64("abc"), fnv1a64("abc"));
   EXPECT_NE(fnv1a64("abc"), fnv1a64("abd"));
   EXPECT_NE(fnv1a64(""), fnv1a64(" "));
+}
+
+TEST(RunServe, AcceptsValidNumericFlags) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_serve({"--input", "/dev/null", "--cache-capacity", "0",
+                       "--max-connections", "1", "--max-batch", "1",
+                       "--max-inflight", "0", "--disk-cache-mb", "0",
+                       "--default-timeout-ms", "250", "--threads", "1"},
+                      out, err),
+            0)
+      << err.str();
+}
+
+TEST(RunServe, RejectsNegativeGarbageAndZeroNumericFlags) {
+  // Each of these used to be coerced silently: a wrapped negative, a
+  // truncated "12abc", a negative worker count served in-process, and the
+  // zeros that were clamped to 1.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--cache-capacity", "-1"}, {"--cache-capacity", "12abc"},
+      {"--workers", "-2"},        {"--max-inflight", "-5"},
+      {"--disk-cache-mb", "-1"},  {"--max-connections", "0"},
+      {"--max-batch", "0"}};
+  for (const auto& [flag, value] : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_serve({"--input", "/dev/null", flag, value}, out, err), 2)
+        << flag << " " << value;
+    EXPECT_EQ(err.str(), "serve: bad value for " + flag + "\n") << flag << " " << value;
+  }
 }
 
 }  // namespace

@@ -30,7 +30,9 @@ TEST(Differential, AllCheckFamiliesRun) {
   for (const char* family :
        {"oracle.transient", "oracle.steady_state", "oracle.cumulative_reward",
         "oracle.instantaneous_reward", "oracle.bounded_reachability",
-        "solver.krylov_vs_gauss_seidel", "solver.blocked_vs_csr",
+        "oracle.reachability", "oracle.reachability_reward",
+        "oracle.steady_probability", "oracle.steady_reward",
+        "solver.blocked_vs_csr",
         "lumping.quotient_vs_full",
         "parallel.determinism", "roundtrip.model_text_fixpoint",
         "roundtrip.model_state_space", "roundtrip.arch_text_fixpoint",
@@ -53,7 +55,6 @@ TEST(Differential, FamiliesCanBeDisabled) {
   DifferentialOptions options = short_run();
   options.iterations = 2;
   options.check_oracle = false;
-  options.check_solvers = false;
   options.check_kernels = false;
   options.check_lumping = false;
   options.check_parallel = false;

@@ -46,11 +46,11 @@ TEST_F(FaultTest, OnlyTheArmedSiteFires) {
 }
 
 TEST_F(FaultTest, RearmingResetsVisitCounter) {
-  arm_site("power.diverge", 2);
-  EXPECT_FALSE(triggered("power.diverge"));  // visit 1
-  arm_site("power.diverge", 2);              // reset: next visit is 1 again
-  EXPECT_FALSE(triggered("power.diverge"));
-  EXPECT_TRUE(triggered("power.diverge"));
+  arm_site("gauss_seidel.diverge", 2);
+  EXPECT_FALSE(triggered("gauss_seidel.diverge"));  // visit 1
+  arm_site("gauss_seidel.diverge", 2);              // reset: next visit is 1 again
+  EXPECT_FALSE(triggered("gauss_seidel.diverge"));
+  EXPECT_TRUE(triggered("gauss_seidel.diverge"));
 }
 
 TEST_F(FaultTest, SpecParsing) {
