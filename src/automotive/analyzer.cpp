@@ -12,39 +12,36 @@ namespace autosec::automotive {
 
 namespace {
 
-csl::SessionOptions session_options(const AnalysisOptions& options) {
-  csl::SessionOptions session;
-  static_cast<csl::EngineOptions&>(session) = options;
-  session.parallel_properties = options.parallel_solves;
-  return session;
-}
-
 void apply_thread_option(const AnalysisOptions& options) {
   if (options.threads > 0) {
     util::set_thread_count(static_cast<size_t>(options.threads));
   }
 }
 
-/// The single-model constant names do not exist in the batch model, so
-/// overrides targeting them force the per-pair path.
-bool overrides_require_single_models(const AnalysisOptions& options) {
-  for (const auto& [name, value] : options.constant_overrides) {
-    if (name == kMessageEtaConstant || name == kMessagePhiConstant) return true;
+/// The constant overrides of a batch model: the single-model message
+/// constants name one constant per grid pair there.
+std::vector<std::pair<std::string, symbolic::Value>> batch_overrides(
+    const BatchSession& batch,
+    const std::vector<std::pair<std::string, symbolic::Value>>& overrides) {
+  std::vector<std::pair<std::string, symbolic::Value>> out;
+  for (const auto& [name, value] : overrides) {
+    const bool eta = name == kMessageEtaConstant;
+    if (!eta && name != kMessagePhiConstant) {
+      out.emplace_back(name, value);
+      continue;
+    }
+    for (const std::string& message : batch.messages) {
+      for (const SecurityCategory category : batch.categories) {
+        std::string pair_name = eta ? batch_message_eta_constant(message, category)
+                                    : batch_message_phi_constant(message, category);
+        if (!batch.session->declares_constant(pair_name)) {
+          throw symbolic::UndeclaredConstant(name);
+        }
+        out.emplace_back(std::move(pair_name), value);
+      }
+    }
   }
-  return false;
-}
-
-void accumulate(csl::SessionStats& total, const csl::SessionStats& part) {
-  if (total.engine.empty()) total.engine = part.engine;
-  total.compile_count += part.compile_count;
-  total.explore_count += part.explore_count;
-  total.uniformize_count += part.uniformize_count;
-  total.steady_state_count += part.steady_state_count;
-  total.check_count += part.check_count;
-  total.solver_fallbacks += part.solver_fallbacks;
-  total.compile_seconds += part.compile_seconds;
-  total.explore_seconds += part.explore_seconds;
-  total.solve_seconds += part.solve_seconds;
+  return out;
 }
 
 /// Counter/timing delta `after - before` — what one request added to a
@@ -97,7 +94,7 @@ AnalysisResult SecurityAnalysis::result() const {
   util::Stopwatch watch;
   const std::string h = util::json_number(horizon);
   const std::vector<std::string> properties = {
-      "R{\"exposure\"}=? [ C<=" + h + " ]",
+      exposure_property(horizon),
       "P=? [ F<=" + h + " \"violated\" ]",
       "S=? [ \"violated\" ]",
       "R{\"time\"}=? [ F \"violated\" ]",
@@ -122,70 +119,19 @@ AnalysisResult analyze_message(const Architecture& architecture,
   return analysis.result();
 }
 
+std::string exposure_property(double horizon_years) {
+  return "R{\"" + std::string(kExposureReward) +
+         "\"}=? [ C<=" + util::json_number(horizon_years) + " ]";
+}
+
 ArchitectureReport analyze_architecture_report(
     const Architecture& architecture, const AnalysisOptions& options,
     const std::vector<SecurityCategory>& categories,
     const std::vector<std::string>& messages) {
-  apply_thread_option(options);
-
-  std::vector<std::string> message_names = messages;
-  if (message_names.empty()) {
-    for (const Message& message : architecture.messages) {
-      message_names.push_back(message.name);
-    }
+  if (categories.empty() || (messages.empty() && architecture.messages.empty())) {
+    return {};
   }
-
-  ArchitectureReport report;
-  const size_t pair_count = message_names.size() * categories.size();
-  if (pair_count == 0) return report;
-
-  if (!options.batch_model || overrides_require_single_models(options)) {
-    // Per-pair path: nest the stage spans under "analyze/..." like the batch
-    // path (analyze_batch_session) does for itself.
-    util::metrics::ScopedSpan span("analyze");
-    {
-      util::metrics::Registry& metrics = util::metrics::registry();
-      if (metrics.enabled()) {
-        metrics.add("analyze.architectures");
-        metrics.add("analyze.pairs", pair_count);
-      }
-    }
-    // Legacy path: one model per (message, category) pair. The pairs are
-    // independent, so they can still fan across the pool; each slot writes
-    // only its own result, keeping the report deterministic.
-    std::vector<std::pair<std::string, SecurityCategory>> pairs;
-    pairs.reserve(pair_count);
-    for (const std::string& message : message_names) {
-      for (const SecurityCategory category : categories) {
-        pairs.emplace_back(message, category);
-      }
-    }
-    report.results.resize(pairs.size());
-    std::vector<csl::SessionStats> stats(pairs.size());
-    AnalysisOptions pair_options = options;
-    pair_options.threads = 0;  // already applied process-wide
-    const auto analyze_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const SecurityAnalysis analysis(architecture, pairs[i].first, pairs[i].second,
-                                        pair_options);
-        report.results[i] = analysis.result();
-        stats[i] = analysis.session()->stats();
-      }
-    };
-    if (options.parallel_solves) {
-      util::parallel_for(0, pairs.size(), 1, analyze_range);
-    } else {
-      analyze_range(0, pairs.size());
-    }
-    for (const csl::SessionStats& part : stats) accumulate(report.stats, part);
-    return report;
-  }
-
-  // Staged path: one combined model for every pair — exactly one compile and
-  // one explore per constant-override set, all properties solved against the
-  // shared state space.
-  BatchSession batch = make_batch_session(architecture, options, categories,
-                                          message_names);
+  BatchSession batch = make_batch_session(architecture, options, categories, messages);
   return analyze_batch_session(batch, options);
 }
 
@@ -211,13 +157,13 @@ BatchSession make_batch_session(const Architecture& architecture,
   transform_options.include_reliability = options.include_reliability;
   transform_options.guardian_requires_foothold = options.guardian_requires_foothold;
   batch.session = std::make_shared<csl::EngineSession>(
-      transform_batch(architecture, transform_options), session_options(options));
+      transform_batch(architecture, transform_options), options);
   return batch;
 }
 
-TransformOptions pair_transform_options(const std::string& message,
-                                        SecurityCategory category,
-                                        const AnalysisOptions& options) {
+BatchSession make_pair_session(const Architecture& architecture,
+                               const std::string& message, SecurityCategory category,
+                               const AnalysisOptions& options) {
   TransformOptions transform_options;
   transform_options.message = message;
   transform_options.category = category;
@@ -226,19 +172,13 @@ TransformOptions pair_transform_options(const std::string& message,
   transform_options.guardian_requires_foothold = options.guardian_requires_foothold;
   transform_options.include_reliability = options.include_reliability;
   transform_options.model_type = options.model_type;
-  return transform_options;
-}
 
-BatchSession make_pair_session(const Architecture& architecture,
-                               const std::string& message, SecurityCategory category,
-                               const AnalysisOptions& options) {
   BatchSession pair;
   pair.architecture_name = architecture.name;
   pair.messages = {message};
   pair.categories = {category};
-  pair.session = std::make_shared<csl::EngineSession>(
-      transform(architecture, pair_transform_options(message, category, options)),
-      session_options(options));
+  pair.session =
+      std::make_shared<csl::EngineSession>(transform(architecture, transform_options), options);
   return pair;
 }
 
@@ -263,9 +203,11 @@ ArchitectureReport analyze_batch_session(BatchSession& batch,
   // Per-request knobs: re-key the stage cache when the override set changed
   // (same-key repeats reuse every cached stage) and arm this request's cancel
   // token on the long-lived session.
-  if (csl::override_cache_key(options.constant_overrides) !=
+  std::vector<std::pair<std::string, symbolic::Value>> overrides =
+      batch_overrides(batch, options.constant_overrides);
+  if (csl::override_cache_key(overrides) !=
       csl::override_cache_key(session.options().constant_overrides)) {
-    session.set_constant_overrides(options.constant_overrides);
+    session.set_constant_overrides(std::move(overrides));
   }
   session.set_cancel_token(options.cancel);
   session.set_resource_budget(options.budget);

@@ -32,17 +32,12 @@ struct AnalysisOptions : csl::EngineOptions {
   bool literal_patch_guard = false;
   bool guardian_requires_foothold = false;  // see TransformOptions
   bool include_reliability = true;          // see TransformOptions
-  /// Fan independent per-message/per-property solves across the thread pool.
-  /// Results are deterministic regardless of thread count.
-  bool parallel_solves = true;
-  /// Whole-vehicle reports: combine all (message, category) measures into one
-  /// batch model so the architecture is compiled and explored exactly once
-  /// per constant-override set. When false — or when constant_overrides
-  /// reference the single-model "eta_msg"/"phi_msg" names, which do not exist
-  /// in the batch model — each pair is analyzed on its own model (the legacy
-  /// path).
-  bool batch_model = true;
 };
+
+/// The paper's headline query on a single-pair model: the expected time the
+/// message is exploitable within the horizon, R{"exposure"}=?[C<=h]. Divide
+/// by the horizon for the exploitable fraction.
+std::string exposure_property(double horizon_years);
 
 struct AnalysisResult {
   std::string architecture;
@@ -99,7 +94,6 @@ class SecurityAnalysis {
   /// reward structure "exposure" are available).
   double check(const std::string& property) const;
 
-  const AnalysisOptions& options() const { return options_; }
   const symbolic::StateSpace& space() const { return session_->space(); }
   const std::shared_ptr<csl::EngineSession>& session() const { return session_; }
   double build_seconds() const;
@@ -139,33 +133,30 @@ BatchSession make_batch_session(
         SecurityCategory::kAvailability},
     const std::vector<std::string>& messages = {});
 
-/// Transform options of the single (message, category) model under
-/// `options` — what make_pair_session transforms with.
-TransformOptions pair_transform_options(const std::string& message,
-                                        SecurityCategory category,
-                                        const AnalysisOptions& options);
-
 /// The single-pair counterpart of make_batch_session: one (message, category)
 /// model wrapped in a session, nothing compiled or explored until first use.
-/// SecurityAnalysis and the serving layer's check/sweep entries are built by
-/// it.
+/// SecurityAnalysis, the diagnostics and the serving layer's check, sweep and
+/// diagnose entries are built by it.
 BatchSession make_pair_session(const Architecture& architecture,
                                const std::string& message, SecurityCategory category,
                                const AnalysisOptions& options = {});
 
 /// Whole-vehicle report from a prepared batch session. `options` supplies the
 /// per-request knobs (horizon_years, constant_overrides — re-keying the
-/// session's stage cache when they change). The returned stats are the DELTA
-/// this call added to the session: a report answered entirely from cache has
-/// stats.explore_count == 0.
+/// session's stage cache when they change). The single-model names "eta_msg"
+/// and "phi_msg" expand to every grid pair's batch_message_{eta,phi}_constant;
+/// if a pair does not declare one (its protection has no finite η), the call
+/// throws symbolic::UndeclaredConstant naming the single-model constant. The
+/// returned stats are the DELTA this call added to the session: a report
+/// answered entirely from cache has stats.explore_count == 0.
 ArchitectureReport analyze_batch_session(BatchSession& batch,
                                          const AnalysisOptions& options = {});
 
 /// Whole-vehicle report: every message in the architecture (or `messages`
 /// when non-empty), across the given categories. Results are ordered
 /// message-major in declaration order — the table a decision maker compares
-/// variants with. One compile + explore serves all pairs (see
-/// AnalysisOptions::batch_model); per-pair solves can run in parallel.
+/// variants with. make_batch_session + analyze_batch_session: one compile +
+/// explore serves all pairs, and the property solves fan across the pool.
 ArchitectureReport analyze_architecture_report(
     const Architecture& architecture, const AnalysisOptions& options = {},
     const std::vector<SecurityCategory>& categories = {

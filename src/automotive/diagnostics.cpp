@@ -3,89 +3,81 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <stdexcept>
 
 #include "ctmc/transient.hpp"
 #include "symbolic/explorer.hpp"
-#include "util/json.hpp"
+#include "util/budget.hpp"
+#include "util/metrics.hpp"
 
 namespace autosec::automotive {
 
-std::vector<Criticality> criticality_analysis(const Architecture& architecture,
-                                              const std::string& message,
-                                              SecurityCategory category,
-                                              const CriticalityOptions& options,
-                                              csl::SessionStats* stats) {
-  // One session answers every perturbed exposure: each perturbation re-keys
-  // its constant overrides, and every explore and solve runs under the
-  // request's budget, cancel token and solver plan.
-  const BatchSession pair =
-      make_pair_session(architecture, message, category, options.analysis);
-  csl::EngineSession& session = *pair.session;
+std::vector<Criticality> criticality_analysis(csl::EngineSession& session,
+                                              double horizon_years,
+                                              double relative_step) {
+  const std::vector<std::pair<std::string, symbolic::Value>> base =
+      session.options().constant_overrides;
   // The compiled model's constant table gives every rate with its effective
   // value (after any base overrides).
-  const symbolic::CompiledModel compiled = symbolic::compile(
-      transform(architecture, pair_transform_options(message, category, options.analysis)),
-      options.analysis.constant_overrides);
-  const double horizon = options.analysis.horizon_years;
-  const std::string exposure =
-      "R{\"exposure\"}=? [ C<=" + util::json_number(horizon) + " ]";
+  const std::vector<std::pair<std::string, symbolic::Value>> constants =
+      session.space().model().constant_values;
+  const std::string exposure = exposure_property(horizon_years);
   // Exposure fraction with one rate perturbed; the perturbed value comes
-  // first, so it wins over a base override of the same constant.
+  // first, so it wins over a base override of the same constant. No
+  // perturbed value is visited twice, so its stages go as soon as it is read,
+  // and what they charged the budget goes back: the request pays the peak of
+  // one perturbed stage set, not the sum over every constant.
+  const std::shared_ptr<util::ResourceBudget>& budget = session.options().budget;
   auto exposure_with = [&](const std::string& name, double value) {
     std::vector<std::pair<std::string, symbolic::Value>> overrides = {
         {name, symbolic::Value::of(value)}};
-    for (const auto& base : options.analysis.constant_overrides) overrides.push_back(base);
+    overrides.insert(overrides.end(), base.begin(), base.end());
+    const size_t charged = budget ? budget->charged_bytes() : 0;
     session.set_constant_overrides(std::move(overrides));
-    session.drop_inactive_stages();  // no perturbed value is visited twice
-    return session.check(exposure) / horizon;
+    const double fraction = session.check(exposure) / horizon_years;
+    session.drop_active_stages();
+    if (budget) budget->release_bytes(budget->charged_bytes() - charged);
+    return fraction;
   };
 
   std::vector<Criticality> result;
-  const double h = options.relative_step;
-  for (const auto& [name, value] : compiled.constant_values) {
+  const double h = relative_step;
+  for (const auto& [name, value] : constants) {
     if (name == "nmax" || !value.is_numeric() || value.is_int()) continue;
-    const double base = value.as_number();
-    if (base <= 0.0) continue;
+    const double base_value = value.as_number();
+    if (base_value <= 0.0) continue;
 
-    const double low = exposure_with(name, base / (1.0 + h));
-    const double high = exposure_with(name, base * (1.0 + h));
+    const double low = exposure_with(name, base_value / (1.0 + h));
+    const double high = exposure_with(name, base_value * (1.0 + h));
     Criticality c;
     c.constant = name;
-    c.base_value = base;
+    c.base_value = base_value;
     if (low > 0.0 && high > 0.0) {
       c.elasticity = (std::log(high) - std::log(low)) / (2.0 * std::log(1.0 + h));
     }
     result.push_back(c);
   }
+  session.set_constant_overrides(base);
   std::sort(result.begin(), result.end(), [](const Criticality& a, const Criticality& b) {
     return std::abs(a.elasticity) > std::abs(b.elasticity);
   });
-  if (stats != nullptr) *stats = session.stats();
   return result;
 }
 
-BreachAttributionResult first_breach_attribution(const Architecture& architecture,
-                                                 const std::string& message,
-                                                 SecurityCategory category,
-                                                 const AnalysisOptions& options) {
-  return first_breach_attribution(
-      architecture, SecurityAnalysis(architecture, message, category, options));
-}
-
-BreachAttributionResult first_breach_attribution(const Architecture& architecture,
-                                                 const SecurityAnalysis& analysis) {
-  const symbolic::StateSpace& space = analysis.space();
-  const ctmc::Ctmc chain = space.to_ctmc();
+BreachAttributionResult first_breach_attribution(csl::EngineSession& session,
+                                                 const Architecture& architecture,
+                                                 double horizon_years) {
+  const symbolic::StateSpace& space = session.space();
   const std::vector<bool> violated = space.label_mask(kViolatedLabel);
 
   // Make violated states absorbing: the transient mass in a violated state at
   // the horizon is then the probability that the *first* breach happened in
   // exactly that state.
-  const ctmc::Ctmc stopped = chain.with_absorbing(violated);
+  const ctmc::Ctmc stopped = session.chain().with_absorbing(violated);
   const std::vector<double> mass = ctmc::transient_distribution(
-      stopped, space.initial_distribution(), analysis.options().horizon_years,
-      analysis.session()->transient_options());
+      stopped, space.initial_distribution(), horizon_years,
+      session.transient_options());
 
   BreachAttributionResult result;
   for (size_t s = 0; s < mass.size(); ++s) {
@@ -134,35 +126,67 @@ BreachAttributionResult first_breach_attribution(const Architecture& architectur
   return result;
 }
 
-double breach_time_quantile(const SecurityAnalysis& analysis, double quantile,
-                            double max_years, double tolerance_years) {
-  if (!(quantile > 0.0 && quantile < 1.0)) {
-    throw std::invalid_argument("breach_time_quantile: quantile must be in (0,1)");
+std::vector<double> breach_time_quantiles(csl::EngineSession& session,
+                                          std::span<const double> levels,
+                                          double max_years, double tolerance_years) {
+  for (const double quantile : levels) {
+    if (!(quantile > 0.0 && quantile < 1.0)) {
+      throw std::invalid_argument("breach_time_quantiles: quantile must be in (0,1)");
+    }
   }
   if (!(max_years > 0.0) || !(tolerance_years > 0.0)) {
-    throw std::invalid_argument("breach_time_quantile: bounds must be positive");
+    throw std::invalid_argument("breach_time_quantiles: bounds must be positive");
   }
-  const ctmc::Ctmc chain = analysis.space().to_ctmc();
-  const std::vector<bool> violated = analysis.space().label_mask(kViolatedLabel);
-  const std::vector<double> initial = analysis.space().initial_distribution();
+  const ctmc::Ctmc& chain = session.chain();
+  const std::vector<bool> violated = session.space().label_mask(kViolatedLabel);
+  const std::vector<double> initial = session.space().initial_distribution();
   const std::vector<bool> all(chain.state_count(), true);
-  // Every bisection step polls the request's cancel token and charges its
-  // budget, like the session's own solves.
-  const ctmc::TransientOptions transient = analysis.session()->transient_options();
+  // Every solve polls the request's cancel token and charges its budget,
+  // like the session's own solves.
+  const ctmc::TransientOptions transient = session.transient_options();
 
+  // The bisections all start from [0, max_years], so they share t = max_years,
+  // the first midpoint, and every step on which their paths agree.
+  std::map<double, double> solved;
   auto breach_probability = [&](double t) {
-    return ctmc::bounded_reachability(chain, initial, all, violated, t, transient);
+    const auto [it, fresh] = solved.try_emplace(t, 0.0);
+    if (fresh) {
+      it->second = ctmc::bounded_reachability(chain, initial, all, violated, t, transient);
+    }
+    return it->second;
   };
-  if (breach_probability(max_years) < quantile) {
-    return std::numeric_limits<double>::infinity();
+
+  std::vector<double> years;
+  years.reserve(levels.size());
+  for (const double quantile : levels) {
+    if (breach_probability(max_years) < quantile) {
+      years.push_back(std::numeric_limits<double>::infinity());
+      continue;
+    }
+    double low = 0.0;
+    double high = max_years;
+    while (high - low > tolerance_years) {
+      const double mid = 0.5 * (low + high);
+      (breach_probability(mid) >= quantile ? high : low) = mid;
+    }
+    years.push_back(0.5 * (low + high));
   }
-  double low = 0.0;
-  double high = max_years;
-  while (high - low > tolerance_years) {
-    const double mid = 0.5 * (low + high);
-    (breach_probability(mid) >= quantile ? high : low) = mid;
+  return years;
+}
+
+Diagnosis diagnose(csl::EngineSession& session, const Architecture& architecture,
+                   double horizon_years) {
+  util::metrics::ScopedSpan diagnose_span("diagnose");
+  Diagnosis diagnosis;
+  diagnosis.criticality = criticality_analysis(session, horizon_years);
+  {
+    util::metrics::ScopedSpan span("attribution");
+    diagnosis.first_breach =
+        first_breach_attribution(session, architecture, horizon_years);
   }
-  return 0.5 * (low + high);
+  util::metrics::ScopedSpan span("quantiles");
+  diagnosis.quantile_years = breach_time_quantiles(session, kBreachQuantileLevels);
+  return diagnosis;
 }
 
 }  // namespace autosec::automotive

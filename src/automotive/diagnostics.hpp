@@ -13,8 +13,17 @@
 //    state in which the system first becomes violated, aggregated to the
 //    architecture components that are exploited in that state — "through
 //    which door does the attacker come?".
+//
+//  * breach_time_quantiles: by when are q% of vehicles breached?
+//
+// Every analysis runs on one (message, category) pair session
+// (make_pair_session), under that session's budget, cancel token and solver
+// plan; diagnose() runs all three, which is what `autosec diagnose` and the
+// serve `diagnose` op render.
 #pragma once
 
+#include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,24 +40,17 @@ struct Criticality {
   double elasticity = 0.0;
 };
 
-struct CriticalityOptions {
-  AnalysisOptions analysis;
-  /// Relative perturbation for the finite difference (each rate is evaluated
-  /// at value/(1+h) and value*(1+h)).
-  double relative_step = 0.25;
-};
-
-/// Elasticities for every rate constant of the (message, category) model,
-/// sorted by descending |elasticity|. Constants with value 0 are skipped
-/// (nothing to perturb multiplicatively). Every perturbed model is explored
-/// and solved through one engine session under options.analysis (budget,
-/// cancel token, solver plan); `stats`, when non-null, receives that
-/// session's counters (one explore per perturbed value).
-std::vector<Criticality> criticality_analysis(const Architecture& architecture,
-                                              const std::string& message,
-                                              SecurityCategory category,
-                                              const CriticalityOptions& options = {},
-                                              csl::SessionStats* stats = nullptr);
+/// Elasticities for every rate constant of the session's pair model, sorted
+/// by descending |elasticity|. Constants with value 0 are skipped (nothing to
+/// perturb multiplicatively). Each rate is evaluated at value/(1+h) and
+/// value*(1+h), h = `relative_step`: the session is re-keyed to each
+/// perturbed value on top of its current overrides (the base), and each
+/// perturbed stage set is dropped once its exposure is read. The session
+/// ends on the base key, whose stages (explored here for the constant table)
+/// stay cached, as does every other key the session held.
+std::vector<Criticality> criticality_analysis(csl::EngineSession& session,
+                                              double horizon_years,
+                                              double relative_step = 0.25);
 
 struct BreachAttribution {
   std::string component;  ///< ECU name, "bus <name>", or "protection"
@@ -66,24 +68,38 @@ struct BreachAttributionResult {
   std::vector<BreachAttribution> attributions;
 };
 
-BreachAttributionResult first_breach_attribution(const Architecture& architecture,
-                                                 const std::string& message,
-                                                 SecurityCategory category,
-                                                 const AnalysisOptions& options = {});
-/// The same decomposition on an analysis already built for the pair (its
-/// horizon and state space), so a caller that also needs quantiles explores
-/// the model once. The transient solve runs under the analysis's cancel
-/// token and budget and unwinds with util::Cancelled past its deadline.
-BreachAttributionResult first_breach_attribution(const Architecture& architecture,
-                                                 const SecurityAnalysis& analysis);
+/// The decomposition on the session's chain for the pair model of
+/// `architecture`. The transient solve runs under the session's cancel token
+/// and budget and unwinds with util::Cancelled past its deadline.
+BreachAttributionResult first_breach_attribution(csl::EngineSession& session,
+                                                 const Architecture& architecture,
+                                                 double horizon_years);
 
-/// Breach-time quantile: the time t (years) by which the message has been
-/// violated at least once with probability `quantile` — "by when are q% of
-/// vehicles breached?". Solved by bisection on P=?[F<=t "violated"]
-/// (monotone in t). Returns +infinity when even `max_years` does not reach
-/// the quantile (e.g. unreachable violations). Every bisection step polls the
-/// analysis's cancel token, so a request deadline stops the search.
-double breach_time_quantile(const SecurityAnalysis& analysis, double quantile,
-                            double max_years = 100.0, double tolerance_years = 1e-4);
+/// The quantile levels diagnose reports (5/25/50/95%).
+inline constexpr std::array<double, 4> kBreachQuantileLevels = {0.05, 0.25, 0.5, 0.95};
+
+/// Breach-time quantiles: for each level q, the time t (years) by which the
+/// message has been violated at least once with probability q. Solved by
+/// bisection on P=?[F<=t "violated"] (monotone in t), with each P(F<=t)
+/// solved once per exact t across all levels. A level is +infinity when even
+/// `max_years` does not reach it (e.g. unreachable violations). Every solve
+/// polls the session's cancel token, so a request deadline stops the search.
+std::vector<double> breach_time_quantiles(csl::EngineSession& session,
+                                          std::span<const double> levels,
+                                          double max_years = 100.0,
+                                          double tolerance_years = 1e-4);
+
+/// Everything diagnose reports for one pair.
+struct Diagnosis {
+  std::vector<Criticality> criticality;
+  BreachAttributionResult first_breach;
+  /// Breach times (years), aligned with kBreachQuantileLevels.
+  std::vector<double> quantile_years;
+};
+
+/// Criticality, first-breach attribution and breach-time quantiles of the
+/// pair model of `architecture` in `session`, keyed to the base overrides.
+Diagnosis diagnose(csl::EngineSession& session, const Architecture& architecture,
+                   double horizon_years);
 
 }  // namespace autosec::automotive

@@ -451,9 +451,8 @@ int command_simulate(Args& args, std::ostream& out) {
       chain, static_cast<uint32_t>(analysis.space().initial_state()), violated,
       options.analysis.horizon_years, simulation);
   const double numeric =
-      analysis.session()->check("R{\"exposure\"}=? [ C<=" +
-                                util::json_number(options.analysis.horizon_years) +
-                                " ]") /
+      analysis.session()->check(
+          automotive::exposure_property(options.analysis.horizon_years)) /
       options.analysis.horizon_years;
 
   out << "statistical: " << util::format_percent(estimate.mean) << " +/- "
@@ -498,10 +497,11 @@ int command_sweep(Args& args, std::ostream& out) {
   if (options.to <= options.from) throw UsageError("sweep needs --to > --from");
   const Architecture arch = automotive::load_architecture_file(options.file);
 
-  // Each sweep point is an independent (override → model → solve) run, so
-  // the points fan across the thread pool; every slot writes only its own
-  // row, keeping the table deterministic at any thread count.
+  // Each sweep point is an independent (override → pair session → exposure
+  // check) run, so the points fan across the thread pool; every slot writes
+  // only its own row, keeping the table deterministic at any thread count.
   const size_t points = static_cast<size_t>(options.points);
+  const double horizon = options.analysis.horizon_years;
   std::vector<double> point_values(points, 0.0);
   std::vector<double> fractions(points, 0.0);
   util::parallel_for(0, points, 1, [&](size_t begin, size_t end) {
@@ -512,13 +512,13 @@ int command_sweep(Args& args, std::ostream& out) {
               ? options.from * std::pow(options.to / options.from, t)
               : options.from + (options.to - options.from) * t;
       automotive::AnalysisOptions analysis = options.analysis;
-      analysis.threads = 0;  // applied process-wide by --threads already
       analysis.constant_overrides.emplace_back(options.constant,
                                                symbolic::Value::of(value));
-      const automotive::AnalysisResult result = automotive::analyze_message(
+      const automotive::BatchSession pair = automotive::make_pair_session(
           arch, options.message, options.categories.front(), analysis);
       point_values[i] = value;
-      fractions[i] = result.exploitable_fraction;
+      fractions[i] =
+          pair.session->check(automotive::exposure_property(horizon)) / horizon;
     }
   });
 
@@ -537,15 +537,15 @@ int command_diagnose(Args& args, std::ostream& out) {
   const Architecture arch = automotive::load_architecture_file(options.file);
   const SecurityCategory category = options.categories.front();
 
+  const automotive::BatchSession pair =
+      automotive::make_pair_session(arch, options.message, category, options.analysis);
+  const automotive::Diagnosis diagnosis =
+      automotive::diagnose(*pair.session, arch, options.analysis.horizon_years);
+
   out << "== criticality: exposure elasticity per rate constant ==\n";
   out << "(positive: raising the rate raises exposure; negative: lowers it)\n\n";
-  automotive::CriticalityOptions criticality_options;
-  criticality_options.analysis = options.analysis;
-  const auto criticalities =
-      automotive::criticality_analysis(arch, options.message, category,
-                                       criticality_options);
   util::TextTable criticality_table({"constant", "value", "elasticity"});
-  for (const automotive::Criticality& c : criticalities) {
+  for (const automotive::Criticality& c : diagnosis.criticality) {
     criticality_table.add_row({c.constant, util::format_sig(c.base_value, 4),
                                util::format_sig(c.elasticity, 3)});
   }
@@ -553,9 +553,7 @@ int command_diagnose(Args& args, std::ostream& out) {
 
   out << "\n== first-breach attribution ==\n";
   out << "(which components are exploited when the first violation occurs)\n\n";
-  const automotive::SecurityAnalysis analysis(arch, options.message, category,
-                                              options.analysis);
-  const auto attribution = automotive::first_breach_attribution(arch, analysis);
+  const automotive::BreachAttributionResult& attribution = diagnosis.first_breach;
   util::TextTable attribution_table({"component", "P[first breach involves it]",
                                      "share"});
   for (const automotive::BreachAttribution& a : attribution.attributions) {
@@ -572,9 +570,9 @@ int command_diagnose(Args& args, std::ostream& out) {
 
   out << "\n== breach-time quantiles ==\n";
   util::TextTable quantile_table({"quantile", "breached by (years)"});
-  for (const double q : {0.05, 0.25, 0.5, 0.95}) {
-    const double t = automotive::breach_time_quantile(analysis, q);
-    quantile_table.add_row({util::format_percent(q, 2),
+  for (size_t i = 0; i < automotive::kBreachQuantileLevels.size(); ++i) {
+    const double t = diagnosis.quantile_years[i];
+    quantile_table.add_row({util::format_percent(automotive::kBreachQuantileLevels[i], 2),
                             std::isfinite(t) ? util::format_sig(t, 3) : ">100"});
   }
   out << (options.csv ? quantile_table.to_csv() : quantile_table.to_string());
@@ -631,6 +629,7 @@ int command_compare(Args& args, std::ostream& out) {
       options.message.empty() ? architectures.front().messages.at(0).name
                               : options.message;
 
+  const double horizon = options.analysis.horizon_years;
   std::vector<std::string> header{"Category"};
   for (const Architecture& arch : architectures) header.push_back(arch.name);
   util::TextTable table(header);
@@ -641,9 +640,10 @@ int command_compare(Args& args, std::ostream& out) {
         throw UsageError("architecture '" + arch.name + "' has no message '" +
                          message + "'");
       }
-      const automotive::AnalysisResult result =
-          automotive::analyze_message(arch, message, category, options.analysis);
-      row.push_back(util::format_percent(result.exploitable_fraction));
+      const automotive::BatchSession pair =
+          automotive::make_pair_session(arch, message, category, options.analysis);
+      row.push_back(util::format_percent(
+          pair.session->check(automotive::exposure_property(horizon)) / horizon));
     }
     table.add_row(row);
   }

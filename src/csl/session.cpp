@@ -115,8 +115,21 @@ void EngineSession::set_constant_overrides(
   active_ = nullptr;  // re-resolved (and possibly rebuilt) on next use
 }
 
-void EngineSession::drop_inactive_stages() {
-  std::erase_if(cache_, [&](const auto& entry) { return entry.first != active_key_; });
+bool EngineSession::declares_constant(std::string_view name) const {
+  return model_ && std::any_of(model_->constants.begin(), model_->constants.end(),
+                               [&](const symbolic::ConstantDecl& decl) {
+                                 return decl.name == name;
+                               });
+}
+
+void EngineSession::drop_active_stages() {
+  if (!model_) {
+    throw PropertyError(
+        "EngineSession: cannot drop the stages of a session built from a "
+        "pre-explored state space");
+  }
+  std::erase_if(cache_, [&](const auto& entry) { return entry.first == active_key_; });
+  active_ = nullptr;
 }
 
 ctmc::TransientOptions EngineSession::transient_options() const {
@@ -411,11 +424,7 @@ std::vector<double> EngineSession::check_all(std::span<const Property> propertie
       results[rest[j]] = evaluate(stages, properties[rest[j]]);
     }
   };
-  if (!options_.parallel_properties || rest.size() <= 1) {
-    solve_range(0, rest.size());
-  } else {
-    util::parallel_for(0, rest.size(), 1, solve_range);
-  }
+  util::parallel_for(0, rest.size(), 1, solve_range);
   stats_.solve_seconds += seconds_since(start);
   return results;
 }

@@ -51,10 +51,7 @@ namespace autosec::csl {
 /// Session-level view of the shared engine knobs (csl/engine_options.hpp):
 /// the session consumes constant_overrides, explore, transient, steady_state
 /// and cancel; nmax/horizon_years/threads are inert at this layer.
-struct SessionOptions : EngineOptions {
-  /// Fan the independent solves of check_all() across the thread pool.
-  bool parallel_properties = true;
-};
+using SessionOptions = EngineOptions;
 
 /// Cumulative per-stage counters and wall-clock timings — the session-local
 /// view of the pipeline. The same stage events also land in the process-wide
@@ -119,10 +116,15 @@ class EngineSession {
   void set_constant_overrides(
       std::vector<std::pair<std::string, symbolic::Value>> overrides);
 
-  /// Drop every cached stage set except the active key's. For callers that
-  /// re-key through override sets they never revisit (a criticality
-  /// perturbation loop), so memory holds one stage set, not one per key.
-  void drop_inactive_stages();
+  /// Whether the session's model declares a constant of this name (false on
+  /// a space-adopting session, which cannot be re-keyed).
+  bool declares_constant(std::string_view name) const;
+
+  /// Drop the active key's stage set; every other key's stays cached, and
+  /// the next use of the active key rebuilds it. For a key the caller never
+  /// revisits (a criticality perturbation), so it does not stay resident.
+  /// Throws PropertyError on a space-adopting session.
+  void drop_active_stages();
 
   /// Swap the cooperative cancellation token. Stage boundaries and solver
   /// sweeps poll the active token and unwind with util::Cancelled once it is
@@ -152,9 +154,9 @@ class EngineSession {
   bool satisfies(const Property& property);
   bool satisfies(std::string_view property_text);
 
-  /// Batch evaluation: builds the stages once, then solves every property —
-  /// in parallel across the pool when options().parallel_properties. Results
-  /// are positionally aligned with `properties`.
+  /// Batch evaluation: builds the stages once, then solves every property,
+  /// fanned across the pool (a one-thread pool solves them in input order).
+  /// Results are positionally aligned with `properties`.
   std::vector<double> check_all(std::span<const Property> properties);
   std::vector<double> check_all(const std::vector<std::string>& property_texts);
 

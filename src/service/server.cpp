@@ -95,8 +95,8 @@ const char* key_kind(Op op) {
   switch (op) {
     case Op::kAnalyze: return "batch";
     case Op::kCheck:
-    case Op::kSweep: return "single";
-    case Op::kDiagnose: return "diag";
+    case Op::kSweep:
+    case Op::kDiagnose: return "single";
     case Op::kStatus: return "status";
   }
   return "status";
@@ -258,9 +258,9 @@ csl::Property parse_property_checked(const std::string& text) {
 }
 
 /// Session-cache factory of the cached ops: the whole-vehicle batch model for
-/// analyze, one (message, category) model for check and sweep. On a cache hit
-/// it never runs, and needs not: the key carries the content digest and the
-/// message names this factory already validated.
+/// analyze, one (message, category) model for check, sweep and diagnose. On a
+/// cache hit it never runs, and needs not: the key carries the content digest
+/// and the message names this factory already validated.
 automotive::BatchSession build_session(const Request& request,
                                        const std::string& content) {
   const automotive::Architecture arch = parse_architecture_checked(content, request);
@@ -333,8 +333,8 @@ void check_into(JsonValue& result, csl::EngineSession& session, const Request& r
 
 void sweep_into(JsonValue& result, csl::EngineSession& session, const Request& request) {
   const double horizon = request.horizon_years;
-  const csl::Property property = csl::parse_property(
-      "R{\"exposure\"}=? [ C<=" + util::json_number(horizon) + " ]");
+  const csl::Property property =
+      csl::parse_property(automotive::exposure_property(horizon));
   JsonValue points = JsonValue::array();
   // The points run sequentially on the one session: each value re-keys the
   // stage cache (a value seen before hits its cached stages), and the solves
@@ -353,6 +353,47 @@ void sweep_into(JsonValue& result, csl::EngineSession& session, const Request& r
   result["constant"] = JsonValue::string(request.constant);
   result["horizon_years"] = JsonValue::number(horizon);
   result["points"] = std::move(points);
+}
+
+void diagnose_into(JsonValue& result, csl::EngineSession& session,
+                   const Request& request, const std::string& content) {
+  const automotive::Diagnosis diagnosis = automotive::diagnose(
+      session, parse_architecture_checked(content, request), request.horizon_years);
+  result["message"] = JsonValue::string(request.message);
+  result["category"] = JsonValue::string(automotive::category_name(request.category));
+
+  JsonValue criticality = JsonValue::array();
+  for (const automotive::Criticality& c : diagnosis.criticality) {
+    JsonValue row = JsonValue::object();
+    row["constant"] = JsonValue::string(c.constant);
+    row["value"] = JsonValue::number(c.base_value);
+    row["elasticity"] = JsonValue::number(c.elasticity);
+    criticality.push_back(std::move(row));
+  }
+  result["criticality"] = std::move(criticality);
+
+  JsonValue breach = JsonValue::object();
+  breach["total_breach_probability"] =
+      JsonValue::number(diagnosis.first_breach.total_breach_probability);
+  JsonValue attributions = JsonValue::array();
+  for (const automotive::BreachAttribution& a : diagnosis.first_breach.attributions) {
+    JsonValue row = JsonValue::object();
+    row["component"] = JsonValue::string(a.component);
+    row["probability"] = JsonValue::number(a.probability);
+    attributions.push_back(std::move(row));
+  }
+  breach["attributions"] = std::move(attributions);
+  result["first_breach"] = std::move(breach);
+
+  JsonValue quantiles = JsonValue::array();
+  for (size_t i = 0; i < automotive::kBreachQuantileLevels.size(); ++i) {
+    JsonValue row = JsonValue::object();
+    row["quantile"] = JsonValue::number(automotive::kBreachQuantileLevels[i]);
+    // +inf (quantile beyond max_years) serializes as null.
+    row["years"] = JsonValue::number(diagnosis.quantile_years[i]);
+    quantiles.push_back(std::move(row));
+  }
+  result["breach_time_quantiles"] = std::move(quantiles);
 }
 
 /// Ops whose result depends only on the request identity + architecture
@@ -625,7 +666,7 @@ util::JsonValue Server::run_cached(const Request& request, const Source& source,
     case Op::kAnalyze: analyze_into(result, batch, options); break;
     case Op::kCheck: check_into(result, session, request, properties); break;
     case Op::kSweep: sweep_into(result, session, request); break;
-    case Op::kDiagnose:
+    case Op::kDiagnose: diagnose_into(result, session, request, source.content); break;
     case Op::kStatus: bad_request("op has no cached session");
   }
 
@@ -643,77 +684,6 @@ util::JsonValue Server::run_cached(const Request& request, const Source& source,
     metrics.engine = after.engine;
     metrics.states = session.space().state_count();
   }
-  return result;
-}
-
-util::JsonValue Server::run_diagnose(const Request& request, const Source& source,
-                                     RequestMetrics& metrics) {
-  // Diagnostics perturb rate constants (one explore per perturbed value, in
-  // a request-scoped session), so there is no long-lived session to reuse:
-  // session_cache "none". Every explore and solve runs under the request's
-  // budget and deadline.
-  const automotive::Architecture arch =
-      parse_architecture_checked(source.content, request);
-  const auto token = make_token(request, effective_timeout());
-  metrics.budget = make_budget(request);
-  const automotive::AnalysisOptions analysis_options =
-      engine_options(request, token, metrics.budget);
-
-  automotive::CriticalityOptions criticality_options;
-  criticality_options.analysis = analysis_options;
-  csl::SessionStats criticality_stats;
-  const std::vector<automotive::Criticality> criticalities =
-      automotive::criticality_analysis(arch, request.message, request.category,
-                                       criticality_options, &criticality_stats);
-  const automotive::SecurityAnalysis analysis(arch, request.message,
-                                              request.category, analysis_options);
-  const automotive::BreachAttributionResult attribution =
-      automotive::first_breach_attribution(arch, analysis);
-
-  JsonValue result = JsonValue::object();
-  result["architecture"] = JsonValue::string(arch.name);
-  result["message"] = JsonValue::string(request.message);
-  result["category"] =
-      JsonValue::string(automotive::category_name(request.category));
-
-  JsonValue criticality = JsonValue::array();
-  for (const automotive::Criticality& c : criticalities) {
-    JsonValue row = JsonValue::object();
-    row["constant"] = JsonValue::string(c.constant);
-    row["value"] = JsonValue::number(c.base_value);
-    row["elasticity"] = JsonValue::number(c.elasticity);
-    criticality.push_back(std::move(row));
-  }
-  result["criticality"] = std::move(criticality);
-
-  JsonValue breach = JsonValue::object();
-  breach["total_breach_probability"] =
-      JsonValue::number(attribution.total_breach_probability);
-  JsonValue attributions = JsonValue::array();
-  for (const automotive::BreachAttribution& a : attribution.attributions) {
-    JsonValue row = JsonValue::object();
-    row["component"] = JsonValue::string(a.component);
-    row["probability"] = JsonValue::number(a.probability);
-    attributions.push_back(std::move(row));
-  }
-  breach["attributions"] = std::move(attributions);
-  result["first_breach"] = std::move(breach);
-
-  JsonValue quantiles = JsonValue::array();
-  for (const double q : {0.05, 0.25, 0.5, 0.95}) {
-    JsonValue row = JsonValue::object();
-    row["quantile"] = JsonValue::number(q);
-    // +inf (quantile beyond max_years) serializes as null.
-    row["years"] = JsonValue::number(automotive::breach_time_quantile(analysis, q));
-    quantiles.push_back(std::move(row));
-  }
-  result["breach_time_quantiles"] = std::move(quantiles);
-
-  const csl::SessionStats& stats = analysis.session()->stats();
-  metrics.explores = criticality_stats.explore_count + stats.explore_count;
-  metrics.solver_fallbacks = criticality_stats.solver_fallbacks + stats.solver_fallbacks;
-  metrics.engine = stats.engine;
-  metrics.states = analysis.space().state_count();
   return result;
 }
 
@@ -810,8 +780,8 @@ util::JsonValue Server::dispatch(const Request& request, const Source& source,
   switch (request.op) {
     case Op::kAnalyze:
     case Op::kCheck:
-    case Op::kSweep: return run_cached(request, source, metrics);
-    case Op::kDiagnose: return run_diagnose(request, source, metrics);
+    case Op::kSweep:
+    case Op::kDiagnose: return run_cached(request, source, metrics);
     case Op::kStatus: return run_status(request, metrics);
   }
   bad_request("unhandled op");
@@ -902,6 +872,10 @@ std::string Server::handle_line(const std::string& line) {
         error = {"timeout", cancelled.what(), cancelled.stage()};
       } catch (const RequestError& request_error) {
         error = request_error.info();
+      } catch (const symbolic::UndeclaredConstant& undeclared) {
+        // An override (or sweep constant) the model does not declare is the
+        // client's mistake; the message names the constant.
+        error = {"bad_request", undeclared.what(), ""};
       } catch (const util::EngineFailure& failure) {
         error = {failure.code_name(), failure.what(), failure.stage()};
         error_detail = progress_to_json(failure.progress());

@@ -214,13 +214,11 @@ class Server {
   util::JsonValue dispatch(const Request& request, const Source& source,
                            RequestMetrics& metrics);
 
-  /// The one request pipeline of the cached ops (analyze, check, sweep):
-  /// validate → acquire the session → arm deadline, budget and ledger →
-  /// engine call → disarm → flush the ledger and fill the metrics.
+  /// The one request pipeline of the engine ops (analyze, check, sweep,
+  /// diagnose): validate → acquire the session → arm deadline, budget and
+  /// ledger → engine call → disarm → flush the ledger and fill the metrics.
   util::JsonValue run_cached(const Request& request, const Source& source,
                              RequestMetrics& metrics);
-  util::JsonValue run_diagnose(const Request& request, const Source& source,
-                               RequestMetrics& metrics);
   util::JsonValue run_status(const Request& request, RequestMetrics& metrics);
 
   /// Process every complete line currently in `buffer` (leaving a trailing

@@ -115,7 +115,7 @@ CompiledModel compile(const Model& model,
   for (const auto& [name, value] : constant_overrides) {
     const bool declared = std::any_of(model.constants.begin(), model.constants.end(),
                                       [&](const ConstantDecl& d) { return d.name == name; });
-    if (!declared) throw ModelError("override for undeclared constant '" + name + "'");
+    if (!declared) throw UndeclaredConstant(name);
     (void)value;
   }
 

@@ -32,6 +32,14 @@ class ModelError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A constant override names a constant the model does not declare — the
+/// caller's mistake, not the model's, so front ends can answer it as one.
+class UndeclaredConstant : public ModelError {
+ public:
+  explicit UndeclaredConstant(const std::string& name)
+      : ModelError("override for undeclared constant '" + name + "'") {}
+};
+
 /// The semantics a model's commands carry: exponential rates (ctmc) or
 /// nondeterministically chosen probability distributions (mdp). The engine
 /// pipeline (explorer, EngineSession, serve) dispatches on this axis.

@@ -195,6 +195,22 @@ PropertySet build_properties(const Model& model, const std::string& t_text) {
          }});
     set.bounded.push_back("P=? [ F<=" + t_text + " " + quoted + " ]");
   }
+  if (model.labels.size() >= 2) {
+    // Until with an avoid set: states of the second label that are not
+    // goals stop the path, so many states end strictly between 0 and 1 —
+    // the uncertain states the fixpoint ladder solves for.
+    const std::string& goal = model.labels[0].name;
+    const std::string& avoid = model.labels[1].name;
+    set.unbounded.push_back(
+        {"P=? [ !\"" + avoid + "\" U \"" + goal + "\" ]", "oracle.until",
+         [goal, avoid](const OracleInputs& in) {
+           const std::vector<bool> target = in.space.label_mask(goal);
+           std::vector<bool> stopped = in.space.label_mask(avoid);
+           for (size_t s = 0; s < stopped.size(); ++s) stopped[s] = stopped[s] && !target[s];
+           return oracle_reachability(in.chain.with_absorbing(stopped), in.initial, target,
+                                      in.options);
+         }});
+  }
   size_t rewards = 0;
   for (const symbolic::RewardStructDecl& reward : model.rewards) {
     if (++rewards > 1) break;

@@ -5,10 +5,11 @@
 //   oracle      transient / steady-state / cumulative / instantaneous reward
 //               and bounded reachability against the dense expm oracle
 //               (testing/oracle.hpp), on chains small enough to cube; and
-//               every unbounded property (P=?[F], R=?[F], S=?, R=?[S])
-//               through the session against a dense LU / squaring reference
-//               ("oracle.reachability", "oracle.reachability_reward",
-//               "oracle.steady_probability", "oracle.steady_reward");
+//               every unbounded property (P=?[F], P=?[!a U b], R=?[F], S=?,
+//               R=?[S]) through the session against a dense LU / squaring
+//               reference ("oracle.reachability", "oracle.until",
+//               "oracle.reachability_reward", "oracle.steady_probability",
+//               "oracle.steady_reward");
 //   kernels     the blocked SELL-C-σ transient kernel vs the plain CSR
 //               kernel (bit-exact by contract);
 //   lumping     lumped-quotient checking vs the full-space engine;

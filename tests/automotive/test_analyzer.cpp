@@ -245,10 +245,15 @@ TEST(Analyzer, BatchReportExploresExactlyOncePerOverrideSet) {
 TEST(Analyzer, BatchReportMatchesLegacyPerPairModels) {
   const Architecture arch = casestudy::architecture(2, Protection::kCmac128);
 
-  AnalysisOptions legacy = fast_options();
-  legacy.batch_model = false;
-  legacy.parallel_solves = false;
-  const std::vector<AnalysisResult> reference = analyze_architecture(arch, legacy);
+  // Reference: one single-pair model per (message, category), in report order.
+  std::vector<AnalysisResult> reference;
+  for (const Message& message : arch.messages) {
+    for (const SecurityCategory category :
+         {SecurityCategory::kConfidentiality, SecurityCategory::kIntegrity,
+          SecurityCategory::kAvailability}) {
+      reference.push_back(analyze_message(arch, message.name, category, fast_options()));
+    }
+  }
 
   const std::vector<AnalysisResult> batch =
       analyze_architecture(arch, fast_options());
@@ -272,15 +277,41 @@ TEST(Analyzer, BatchReportMatchesLegacyPerPairModels) {
 }
 
 TEST(Analyzer, SingleModelOverridesForceLegacyPath) {
+  // "eta_msg" names one constant per pair in the batch model: the report
+  // still explores once and matches the single-pair models under the same
+  // override.
   const Architecture arch = casestudy::architecture(1, Protection::kAes128);
   AnalysisOptions options = fast_options();
   options.constant_overrides = {{kMessageEtaConstant, symbolic::Value::of(0.5)}};
-  // The per-message constants only exist in single-pair models; the report
-  // must fall back to one model per pair instead of failing to compile.
   const ArchitectureReport report = analyze_architecture_report(
       arch, options, {SecurityCategory::kConfidentiality});
-  EXPECT_EQ(report.results.size(), arch.messages.size());
-  EXPECT_EQ(report.stats.explore_count, arch.messages.size());
+  ASSERT_EQ(report.results.size(), arch.messages.size());
+  EXPECT_EQ(report.stats.explore_count, 1u);
+  for (const AnalysisResult& result : report.results) {
+    const AnalysisResult pair = analyze_message(arch, result.message,
+                                                SecurityCategory::kConfidentiality, options);
+    EXPECT_NEAR(result.exploitable_fraction, pair.exploitable_fraction, 1e-9);
+    EXPECT_NEAR(result.breach_probability, pair.breach_probability, 1e-9);
+    EXPECT_NEAR(result.steady_state_fraction, pair.steady_state_fraction, 1e-9);
+  }
+  // The override takes effect: the default message eta gives other values.
+  const ArchitectureReport base = analyze_architecture_report(
+      arch, fast_options(), {SecurityCategory::kConfidentiality});
+  EXPECT_NE(base.results[0].exploitable_fraction, report.results[0].exploitable_fraction);
+}
+
+TEST(Analyzer, MessageOverrideOnAPairWithoutItIsUndeclared) {
+  // An unencrypted message has no finite protection eta, so no pair of its
+  // grid declares one: the report names the constant the caller wrote.
+  const Architecture arch = casestudy::architecture(1, Protection::kUnencrypted);
+  AnalysisOptions options = fast_options();
+  options.constant_overrides = {{kMessageEtaConstant, symbolic::Value::of(0.5)}};
+  try {
+    analyze_architecture_report(arch, options, {SecurityCategory::kConfidentiality});
+    FAIL() << "expected UndeclaredConstant";
+  } catch (const symbolic::UndeclaredConstant& error) {
+    EXPECT_STREQ(error.what(), "override for undeclared constant 'eta_msg'");
+  }
 }
 
 }  // namespace

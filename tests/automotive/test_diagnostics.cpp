@@ -11,22 +11,48 @@
 #include "util/budget.hpp"
 #include "util/cancel.hpp"
 #include "util/failure.hpp"
+#include "util/metrics.hpp"
 
 namespace autosec::automotive {
 namespace {
 
 namespace cs = casestudy;
 
-CriticalityOptions fast_criticality() {
-  CriticalityOptions options;
-  options.analysis.nmax = 1;
+AnalysisOptions fast_options() {
+  AnalysisOptions options;
+  options.nmax = 1;
   return options;
 }
 
+/// The pair session diagnose runs on; nothing is explored yet.
+std::shared_ptr<csl::EngineSession> pair_session(
+    const Architecture& architecture, SecurityCategory category,
+    const AnalysisOptions& options = fast_options()) {
+  return make_pair_session(architecture, cs::kMessage, category, options).session;
+}
+
+std::vector<Criticality> criticality_of(Protection protection,
+                                        const AnalysisOptions& options = fast_options()) {
+  return criticality_analysis(
+      *pair_session(cs::architecture(1, protection), SecurityCategory::kConfidentiality,
+                    options),
+      options.horizon_years);
+}
+
+BreachAttributionResult attribution_of(const Architecture& architecture,
+                                       SecurityCategory category) {
+  return first_breach_attribution(*pair_session(architecture, category), architecture,
+                                  1.0);
+}
+
+double quantile_of(const SecurityAnalysis& analysis, double level,
+                   double max_years = 100.0) {
+  return breach_time_quantiles(*analysis.session(), std::vector<double>{level},
+                               max_years)[0];
+}
+
 TEST(Criticality, CoversEveryRateConstant) {
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(Protection::kUnencrypted);
   // Arch 1: 6 interface etas + 4 ECU phis = 10 rate constants.
   EXPECT_EQ(result.size(), 10u);
   // Sorted by |elasticity| descending.
@@ -36,9 +62,7 @@ TEST(Criticality, CoversEveryRateConstant) {
 }
 
 TEST(Criticality, SignsMatchRateSemantics) {
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(Protection::kUnencrypted);
   for (const Criticality& c : result) {
     if (c.constant.rfind("phi_", 0) == 0) {
       EXPECT_LE(c.elasticity, 1e-9) << c.constant;  // patching reduces exposure
@@ -53,9 +77,7 @@ TEST(Criticality, EntryPointDominates) {
   // The 3G uplink eta and the 3G patch rate must be among the most critical
   // constants in Architecture 1 — the paper's Fig. 6 picked them for a
   // reason.
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(Protection::kUnencrypted);
   ASSERT_GE(result.size(), 3u);
   const std::vector<std::string> top = {result[0].constant, result[1].constant,
                                         result[2].constant};
@@ -65,9 +87,7 @@ TEST(Criticality, EntryPointDominates) {
 }
 
 TEST(Criticality, BaseValuesMatchTable2) {
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(Protection::kUnencrypted);
   for (const Criticality& c : result) {
     if (c.constant == "phi_3g") {
       EXPECT_DOUBLE_EQ(c.base_value, 52.0);
@@ -82,9 +102,7 @@ TEST(Criticality, BaseValuesMatchTable2) {
 }
 
 TEST(Criticality, AesModelIncludesMessageEta) {
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kAes128), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(Protection::kAes128);
   const bool has_msg =
       std::any_of(result.begin(), result.end(),
                   [](const Criticality& c) { return c.constant == "eta_msg"; });
@@ -97,22 +115,60 @@ TEST(Criticality, AesModelIncludesMessageEta) {
 }
 
 TEST(Criticality, OneSessionExploresEachPerturbedValueOnce) {
-  csl::SessionStats stats;
-  const auto result = criticality_analysis(
-      cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-      SecurityCategory::kConfidentiality, fast_criticality(), &stats);
+  const auto session =
+      pair_session(cs::architecture(1, Protection::kUnencrypted),
+                   SecurityCategory::kConfidentiality);
+  const auto result = criticality_analysis(*session, 1.0);
   ASSERT_FALSE(result.empty());
-  EXPECT_EQ(stats.explore_count, 2 * result.size());
-  EXPECT_EQ(stats.engine, "compact");
+  // The base model (its constant table) plus two perturbed values per rate.
+  EXPECT_EQ(session->stats().explore_count, 2 * result.size() + 1);
+  EXPECT_EQ(session->stats().engine, "compact");
+  // The session ends on the base key with its stages cached ...
+  EXPECT_TRUE(session->options().constant_overrides.empty());
+  session->check(exposure_property(1.0));
+  EXPECT_EQ(session->stats().explore_count, 2 * result.size() + 1);
+  // ... and each perturbed stage set was dropped once read: a second run
+  // explores every perturbed value again, the base not at all.
+  criticality_analysis(*session, 1.0);
+  EXPECT_EQ(session->stats().explore_count, 4 * result.size() + 1);
+}
+
+TEST(Criticality, PerturbationsLeaveOtherCachedKeysInPlace) {
+  const auto session =
+      pair_session(cs::architecture(1, Protection::kUnencrypted),
+                   SecurityCategory::kConfidentiality);
+  const std::vector<std::pair<std::string, symbolic::Value>> swept = {
+      {"phi_gw", symbolic::Value::of(8.0)}};
+  session->set_constant_overrides(swept);
+  const double before = session->check(exposure_property(1.0));
+  session->set_constant_overrides({});
+  criticality_analysis(*session, 1.0);
+  const size_t explores = session->stats().explore_count;
+  session->set_constant_overrides(swept);
+  EXPECT_EQ(session->check(exposure_property(1.0)), before);
+  EXPECT_EQ(session->stats().explore_count, explores);
+}
+
+TEST(Criticality, PerturbedStageSetsHandTheirBudgetChargeBack) {
+  AnalysisOptions options = fast_options();
+  options.budget = std::make_shared<util::ResourceBudget>(0, 0);  // meter only
+  const auto session = pair_session(cs::architecture(1, Protection::kUnencrypted),
+                                    SecurityCategory::kConfidentiality, options);
+  session->space();
+  const size_t base = options.budget->charged_bytes();
+  criticality_analysis(*session, 1.0);
+  // Only the base stage set stays charged; each perturbed set was charged
+  // while it was built, then handed back with its drop.
+  EXPECT_EQ(options.budget->charged_bytes(), base);
+  EXPECT_GT(options.budget->peak_bytes(), base);
 }
 
 TEST(Criticality, StateBudgetBindsThePerturbedExplores) {
-  CriticalityOptions options;
-  options.analysis.nmax = 2;
-  options.analysis.budget = std::make_shared<util::ResourceBudget>(100);
+  AnalysisOptions options;
+  options.nmax = 2;
+  options.budget = std::make_shared<util::ResourceBudget>(100);
   try {
-    criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                         SecurityCategory::kConfidentiality, options);
+    criticality_of(Protection::kUnencrypted, options);
     FAIL() << "expected state_budget_exceeded";
   } catch (const util::EngineFailure& failure) {
     EXPECT_EQ(failure.code(), util::FailureCode::kStateBudgetExceeded);
@@ -122,32 +178,23 @@ TEST(Criticality, StateBudgetBindsThePerturbedExplores) {
 }
 
 TEST(Criticality, CancelledTokenStopsBeforeAnyWork) {
-  CriticalityOptions options = fast_criticality();
-  options.analysis.cancel = std::make_shared<util::CancelToken>();
-  options.analysis.cancel->cancel();
-  EXPECT_THROW(criticality_analysis(cs::architecture(1, Protection::kUnencrypted),
-                                    cs::kMessage, SecurityCategory::kConfidentiality,
-                                    options),
-               util::Cancelled);
+  AnalysisOptions options = fast_options();
+  options.cancel = std::make_shared<util::CancelToken>();
+  options.cancel->cancel();
+  EXPECT_THROW(criticality_of(Protection::kUnencrypted, options), util::Cancelled);
 }
 
 TEST(BreachAttribution, TotalMatchesBreachProbability) {
-  AnalysisOptions options;
-  options.nmax = 1;
   const Architecture arch = cs::architecture(1, Protection::kUnencrypted);
-  const auto attribution = first_breach_attribution(
-      arch, cs::kMessage, SecurityCategory::kConfidentiality, options);
+  const auto attribution = attribution_of(arch, SecurityCategory::kConfidentiality);
   const AnalysisResult result = analyze_message(
-      arch, cs::kMessage, SecurityCategory::kConfidentiality, options);
+      arch, cs::kMessage, SecurityCategory::kConfidentiality, fast_options());
   EXPECT_NEAR(attribution.total_breach_probability, result.breach_probability, 1e-9);
 }
 
 TEST(BreachAttribution, TelematicsIsTheDoorInArchitecture1) {
-  AnalysisOptions options;
-  options.nmax = 1;
-  const auto attribution = first_breach_attribution(
-      cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-      SecurityCategory::kConfidentiality, options);
+  const auto attribution = attribution_of(cs::architecture(1, Protection::kUnencrypted),
+                                          SecurityCategory::kConfidentiality);
   ASSERT_FALSE(attribution.attributions.empty());
   EXPECT_EQ(attribution.attributions[0].component, cs::kTelematics);
   // Nearly every first breach involves the compromised telematics unit.
@@ -156,11 +203,8 @@ TEST(BreachAttribution, TelematicsIsTheDoorInArchitecture1) {
 }
 
 TEST(BreachAttribution, SharesAreProbabilities) {
-  AnalysisOptions options;
-  options.nmax = 1;
-  const auto attribution = first_breach_attribution(
-      cs::architecture(2, Protection::kAes128), cs::kMessage,
-      SecurityCategory::kIntegrity, options);
+  const auto attribution = attribution_of(cs::architecture(2, Protection::kAes128),
+                                          SecurityCategory::kIntegrity);
   for (const BreachAttribution& a : attribution.attributions) {
     EXPECT_GT(a.probability, 0.0);
     EXPECT_LE(a.probability, attribution.total_breach_probability + 1e-12);
@@ -168,11 +212,8 @@ TEST(BreachAttribution, SharesAreProbabilities) {
 }
 
 TEST(BreachAttribution, GuardianShowsUpInArchitecture3) {
-  AnalysisOptions options;
-  options.nmax = 1;
-  const auto attribution = first_breach_attribution(
-      cs::architecture(3, Protection::kUnencrypted), cs::kMessage,
-      SecurityCategory::kAvailability, options);
+  const auto attribution = attribution_of(cs::architecture(3, Protection::kUnencrypted),
+                                          SecurityCategory::kAvailability);
   const bool has_guardian = std::any_of(
       attribution.attributions.begin(), attribution.attributions.end(),
       [](const BreachAttribution& a) { return a.component == "guardian FR"; });
@@ -185,10 +226,7 @@ TEST(BreachAttribution, ProtectionAttributedWhenBroken) {
   Architecture arch = cs::architecture(1, Protection::kAes128);
   arch.messages[0].rates_override =
       ProtectionRates{.integrity_eta = 1.2, .confidentiality_eta = 10000.0};
-  AnalysisOptions options;
-  options.nmax = 1;
-  const auto attribution = first_breach_attribution(
-      arch, cs::kMessage, SecurityCategory::kConfidentiality, options);
+  const auto attribution = attribution_of(arch, SecurityCategory::kConfidentiality);
   const bool has_protection = std::any_of(
       attribution.attributions.begin(), attribution.attributions.end(),
       [](const BreachAttribution& a) { return a.component == "protection"; });
@@ -201,7 +239,7 @@ TEST(BreachQuantile, MatchesBoundedReachabilityInversion) {
   const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
                                   cs::kMessage, SecurityCategory::kConfidentiality,
                                   options);
-  const double median = breach_time_quantile(analysis, 0.5);
+  const double median = quantile_of(analysis, 0.5);
   ASSERT_TRUE(std::isfinite(median));
   // Invert: the breach probability at the median must be ~0.5.
   const double p = analysis.check(
@@ -215,9 +253,9 @@ TEST(BreachQuantile, MonotoneInQuantile) {
   const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
                                   cs::kMessage, SecurityCategory::kConfidentiality,
                                   options);
-  const double q25 = breach_time_quantile(analysis, 0.25);
-  const double q50 = breach_time_quantile(analysis, 0.5);
-  const double q95 = breach_time_quantile(analysis, 0.95);
+  const double q25 = quantile_of(analysis, 0.25);
+  const double q50 = quantile_of(analysis, 0.5);
+  const double q95 = quantile_of(analysis, 0.95);
   EXPECT_LT(q25, q50);
   EXPECT_LT(q50, q95);
 }
@@ -231,7 +269,7 @@ TEST(BreachQuantile, ArchitectureOrdering) {
   const SecurityAnalysis arch3(cs::architecture(3, Protection::kUnencrypted),
                                cs::kMessage, SecurityCategory::kConfidentiality,
                                options);
-  EXPECT_GT(breach_time_quantile(arch3, 0.5), 3.0 * breach_time_quantile(arch1, 0.5));
+  EXPECT_GT(quantile_of(arch3, 0.5), 3.0 * quantile_of(arch1, 0.5));
 }
 
 TEST(BreachQuantile, InfiniteWhenUnreachableWithinMax) {
@@ -241,7 +279,7 @@ TEST(BreachQuantile, InfiniteWhenUnreachableWithinMax) {
                                   cs::kMessage, SecurityCategory::kConfidentiality,
                                   options);
   // Tiny max horizon: even arch 3's first breach usually takes years.
-  EXPECT_TRUE(std::isinf(breach_time_quantile(analysis, 0.99, /*max_years=*/0.001)));
+  EXPECT_TRUE(std::isinf(quantile_of(analysis, 0.99, /*max_years=*/0.001)));
 }
 
 TEST(BreachQuantile, InvalidArgumentsRejected) {
@@ -250,9 +288,9 @@ TEST(BreachQuantile, InvalidArgumentsRejected) {
   const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
                                   cs::kMessage, SecurityCategory::kConfidentiality,
                                   options);
-  EXPECT_THROW(breach_time_quantile(analysis, 0.0), std::invalid_argument);
-  EXPECT_THROW(breach_time_quantile(analysis, 1.0), std::invalid_argument);
-  EXPECT_THROW(breach_time_quantile(analysis, 0.5, -1.0), std::invalid_argument);
+  EXPECT_THROW(quantile_of(analysis, 0.0), std::invalid_argument);
+  EXPECT_THROW(quantile_of(analysis, 1.0), std::invalid_argument);
+  EXPECT_THROW(quantile_of(analysis, 0.5, -1.0), std::invalid_argument);
 }
 
 TEST(BreachQuantile, StopsAtTheRequestDeadline) {
@@ -265,7 +303,7 @@ TEST(BreachQuantile, StopsAtTheRequestDeadline) {
                                   cs::kMessage, SecurityCategory::kIntegrity, options);
   analysis.space();
   options.cancel->set_deadline_after(std::chrono::milliseconds(5));
-  EXPECT_THROW(breach_time_quantile(analysis, 0.5), util::Cancelled);
+  EXPECT_THROW(quantile_of(analysis, 0.5), util::Cancelled);
 }
 
 TEST(BreachAttribution, StopsOnACancelAfterExploration) {
@@ -277,7 +315,53 @@ TEST(BreachAttribution, StopsOnACancelAfterExploration) {
                                   SecurityCategory::kConfidentiality, options);
   analysis.space();
   options.cancel->cancel();
-  EXPECT_THROW(first_breach_attribution(architecture, analysis), util::Cancelled);
+  EXPECT_THROW(first_breach_attribution(*analysis.session(), architecture, 1.0),
+               util::Cancelled);
+}
+
+TEST(BreachQuantile, OneCallEqualsOneBisectionPerLevelWithFewerSolves) {
+  const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
+                                  cs::kMessage, SecurityCategory::kConfidentiality,
+                                  fast_options());
+  util::metrics::Registry& metrics = util::metrics::registry();
+  metrics.set_enabled(true);
+  const uint64_t start = metrics.counter_value("ctmc.transient_solves");
+  std::vector<double> separate;
+  for (const double level : kBreachQuantileLevels) {
+    separate.push_back(quantile_of(analysis, level));
+  }
+  const uint64_t middle = metrics.counter_value("ctmc.transient_solves");
+  const std::vector<double> joint =
+      breach_time_quantiles(*analysis.session(), kBreachQuantileLevels);
+  const uint64_t end = metrics.counter_value("ctmc.transient_solves");
+  metrics.set_enabled(false);
+  ASSERT_EQ(joint.size(), separate.size());
+  for (size_t i = 0; i < joint.size(); ++i) EXPECT_EQ(joint[i], separate[i]);
+  // Each bisection solves t = max_years and the first midpoint; one call
+  // solves them once.
+  EXPECT_LE(end - middle + 2 * (kBreachQuantileLevels.size() - 1), middle - start);
+}
+
+TEST(Diagnose, BundlesTheThreeAnalysesOnOneSession) {
+  const Architecture arch = cs::architecture(2, Protection::kAes128);
+  const auto session = pair_session(arch, SecurityCategory::kIntegrity);
+  const Diagnosis diagnosis = diagnose(*session, arch, 1.0);
+  const size_t explores = session->stats().explore_count;
+  EXPECT_EQ(explores, 2 * diagnosis.criticality.size() + 1);
+
+  const auto fresh = pair_session(arch, SecurityCategory::kIntegrity);
+  const std::vector<Criticality> criticality = criticality_analysis(*fresh, 1.0);
+  ASSERT_EQ(diagnosis.criticality.size(), criticality.size());
+  for (size_t i = 0; i < criticality.size(); ++i) {
+    EXPECT_EQ(diagnosis.criticality[i].constant, criticality[i].constant);
+    EXPECT_EQ(diagnosis.criticality[i].elasticity, criticality[i].elasticity);
+  }
+  EXPECT_EQ(diagnosis.first_breach.total_breach_probability,
+            first_breach_attribution(*fresh, arch, 1.0).total_breach_probability);
+  EXPECT_EQ(diagnosis.quantile_years,
+            breach_time_quantiles(*fresh, kBreachQuantileLevels));
+  // Attribution and quantiles ran on the cached base stages.
+  EXPECT_EQ(session->stats().explore_count, explores);
 }
 
 }  // namespace

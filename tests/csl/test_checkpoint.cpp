@@ -23,6 +23,7 @@
 #include "symbolic/parser.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
+#include "util/parallel.hpp"
 
 namespace autosec::csl {
 namespace {
@@ -53,6 +54,13 @@ class CheckpointTest : public ::testing::Test {
   }
 
   fs::path dir_;
+};
+
+/// A one-thread pool for the scope: check_all then solves in input order, so
+/// a fault armed at the n-th solve interrupts deterministically.
+struct OneThreadPool {
+  OneThreadPool() { util::set_thread_count(1); }
+  ~OneThreadPool() { util::set_thread_count(0); }
 };
 
 symbolic::Model repair_model() {
@@ -184,9 +192,8 @@ TEST_F(CheckpointTest, CtmcResumeAfterSolveCancelIsBitIdentical) {
     {
       auto ledger = std::make_shared<CheckpointLedger>(options(identity));
       ledger->load();
-      SessionOptions session_options;
-      session_options.parallel_properties = false;  // deterministic interrupt
-      EngineSession session(repair_model(), session_options);
+      const OneThreadPool serial;  // deterministic interrupt
+      EngineSession session(repair_model());
       session.set_checkpoint(ledger);
       util::fault::arm_site("solve.cancel", interrupt_at);
       EXPECT_THROW(session.check_all(kCtmcProperties), util::Cancelled);
@@ -224,9 +231,8 @@ TEST_F(CheckpointTest, GroupedCumulativeRewardsResumeBitIdentically) {
     {
       auto ledger = std::make_shared<CheckpointLedger>(options(identity));
       ledger->load();
-      SessionOptions session_options;
-      session_options.parallel_properties = false;  // deterministic interrupt
-      EngineSession session(repair_model(), session_options);
+      const OneThreadPool serial;  // deterministic interrupt
+      EngineSession session(repair_model());
       session.set_checkpoint(ledger);
       util::fault::arm_site("solve.cancel", interrupt_at);
       EXPECT_THROW(session.check_all(properties), util::Cancelled);
@@ -255,9 +261,8 @@ TEST_F(CheckpointTest, MdpResumeAfterSolveCancelIsBitIdentical) {
   {
     auto ledger = std::make_shared<CheckpointLedger>(options(identity));
     ledger->load();
-    SessionOptions session_options;
-    session_options.parallel_properties = false;
-    EngineSession session(symbolic::parse_model(kMdpModel), session_options);
+    const OneThreadPool serial;
+    EngineSession session(symbolic::parse_model(kMdpModel));
     session.set_checkpoint(ledger);
     util::fault::arm_site("solve.cancel", 2);  // first property lands
     EXPECT_THROW(session.check_all(kMdpProperties), util::Cancelled);

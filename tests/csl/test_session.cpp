@@ -72,14 +72,15 @@ TEST(EngineSession, CheckAllAgreesWithSequentialChecks) {
     expected.push_back(sequential.check(property));
   }
 
-  for (const bool parallel : {false, true}) {
-    SessionOptions options;
-    options.parallel_properties = parallel;
-    EngineSession session(repair_model(2.0, 6.0), options);
+  // A one-thread pool solves the batch in input order; four threads fan it.
+  for (const size_t threads : {1u, 4u}) {
+    util::set_thread_count(threads);
+    EngineSession session(repair_model(2.0, 6.0));
     const std::vector<double> values = session.check_all(kProperties);
+    util::set_thread_count(0);
     ASSERT_EQ(values.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_DOUBLE_EQ(values[i], expected[i]) << kProperties[i];
+      EXPECT_DOUBLE_EQ(values[i], expected[i]) << kProperties[i] << " threads=" << threads;
     }
     EXPECT_EQ(session.stats().explore_count, 1u);
   }
@@ -102,19 +103,38 @@ TEST(EngineSession, OverrideRekeyingKeepsEarlierStagesCached) {
   EXPECT_EQ(session.stats().explore_count, 2u);
 }
 
-TEST(EngineSession, DropInactiveStagesKeepsOnlyTheActiveKey) {
+TEST(EngineSession, DropActiveStagesKeepsEveryOtherKey) {
   EngineSession session(repair_model(2.0, 6.0));
   const double p_base = session.check("S=? [ \"broken\" ]");
   session.set_constant_overrides({{"a", symbolic::Value::of(6.0)}});
-  session.drop_inactive_stages();
   EXPECT_NEAR(session.check("S=? [ \"broken\" ]"), 6.0 / 12.0, 1e-9);
-  session.drop_inactive_stages();  // the active key's stages survive
-  EXPECT_NEAR(session.check("S=? [ \"broken\" ]"), 6.0 / 12.0, 1e-9);
+  session.drop_active_stages();
   EXPECT_EQ(session.stats().explore_count, 2u);
-  // The base key's stages were dropped: returning to it explores again.
+  // The base key's stages survive the drop: returning to it explores nothing.
   session.set_constant_overrides({});
   EXPECT_NEAR(session.check("S=? [ \"broken\" ]"), p_base, 1e-15);
+  EXPECT_EQ(session.stats().explore_count, 2u);
+  // The dropped key's stages are gone: returning to it explores again.
+  session.set_constant_overrides({{"a", symbolic::Value::of(6.0)}});
+  EXPECT_NEAR(session.check("S=? [ \"broken\" ]"), 6.0 / 12.0, 1e-9);
   EXPECT_EQ(session.stats().explore_count, 3u);
+}
+
+TEST(EngineSession, DeclaresConstantReadsTheModel) {
+  EngineSession session(repair_model(2.0, 6.0));
+  EXPECT_TRUE(session.declares_constant("a"));
+  EXPECT_FALSE(session.declares_constant("ghost"));
+}
+
+TEST(EngineSession, UndeclaredOverrideIsATypedError) {
+  EngineSession session(repair_model(2.0, 6.0));
+  session.set_constant_overrides({{"ghost", symbolic::Value::of(1.0)}});
+  try {
+    session.check("S=? [ \"broken\" ]");
+    FAIL() << "expected UndeclaredConstant";
+  } catch (const symbolic::UndeclaredConstant& error) {
+    EXPECT_STREQ(error.what(), "override for undeclared constant 'ghost'");
+  }
 }
 
 TEST(EngineSession, OverrideCacheKeyIsOrderInsensitive) {
@@ -208,19 +228,14 @@ TEST(EngineSession, GroupedCumulativeRewardsEqualSingleChecksBitForBit) {
   const ThreadCountGuard restore;
   for (const size_t threads : {1u, 4u}) {
     util::set_thread_count(threads);
-    for (const bool parallel : {false, true}) {
-      SessionOptions options;
-      options.parallel_properties = parallel;
-      EngineSession session(symbolic::parse_model(kQueueModel), options);
-      const std::vector<double> values = session.check_all(batch);
-      ASSERT_EQ(values.size(), batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(values[i], expected[i])
-            << batch[i] << " threads=" << threads << " parallel=" << parallel;
-      }
-      EXPECT_EQ(session.stats().check_count, batch.size());
-      EXPECT_EQ(session.stats().uniformize_count, 1u);
+    EngineSession session(symbolic::parse_model(kQueueModel));
+    const std::vector<double> values = session.check_all(batch);
+    ASSERT_EQ(values.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(values[i], expected[i]) << batch[i] << " threads=" << threads;
     }
+    EXPECT_EQ(session.stats().check_count, batch.size());
+    EXPECT_EQ(session.stats().uniformize_count, 1u);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 
 #include "automotive/analyzer.hpp"
 #include "automotive/archfile.hpp"
+#include "automotive/diagnostics.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
 
@@ -39,8 +41,8 @@ JsonValue handle(Server& server, const std::string& line) {
 }
 
 /// A request line of one of the cached ops on arch1: analyze over the whole
-/// grid, check and sweep on message m (one property, one sweep value, so
-/// every op explores exactly once on a cold cache).
+/// grid, check, sweep and diagnose on message m (one property, one sweep
+/// value, so analyze, check and sweep explore exactly once on a cold cache).
 std::string cached_op_line(const std::string& op, const std::string& id,
                            const std::string& extra = "") {
   if (op == "analyze") return analyze_line(id, extra);
@@ -303,6 +305,53 @@ INSTANTIATE_TEST_SUITE_P(
         UnknownMessageCase{"diagnose", R"("message": "ghost")"}),
     [](const auto& info) { return std::string(info.param.op); });
 
+struct UndeclaredConstantCase {
+  const char* name;
+  const char* op;
+  const char* fields;
+  const char* constant;  ///< the constant the error must name
+};
+
+void PrintTo(const UndeclaredConstantCase& param, std::ostream* os) { *os << param.name; }
+
+class UndeclaredConstantTest : public ::testing::TestWithParam<UndeclaredConstantCase> {};
+
+TEST_P(UndeclaredConstantTest, AnswersBadRequestNamingTheConstant) {
+  Server server(deterministic_options());
+  const JsonValue response =
+      handle(server, std::string("{\"op\": \"") + GetParam().op +
+                         "\", \"architecture\": \"" + arch_path() + "\", " +
+                         GetParam().fields + "}");
+  EXPECT_FALSE(response.bool_or("ok", true));
+  const JsonValue* error = response.find("error");
+  ASSERT_NE(error, nullptr) << response.dump();
+  EXPECT_EQ(error->string_or("code", ""), "bad_request");
+  EXPECT_EQ(error->string_or("message", ""),
+            std::string("override for undeclared constant '") + GetParam().constant +
+                "'");
+  EXPECT_EQ(response.find("metrics")->int_or("explores", -1), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, UndeclaredConstantTest,
+    ::testing::Values(
+        UndeclaredConstantCase{"analyze", "analyze", R"("overrides": {"ghost_rate": 2})",
+                               "ghost_rate"},
+        // arch1's message is unencrypted: no pair declares a message eta.
+        UndeclaredConstantCase{"analyze_message_eta", "analyze",
+                               R"("overrides": {"eta_msg": 2})", "eta_msg"},
+        UndeclaredConstantCase{
+            "check", "check",
+            R"("message": "m", "properties": ["S=? [ \"violated\" ]"], "overrides": {"ghost_rate": 2})",
+            "ghost_rate"},
+        UndeclaredConstantCase{"sweep", "sweep",
+                               R"("message": "m", "constant": "ghost_rate", "values": [2])",
+                               "ghost_rate"},
+        UndeclaredConstantCase{"diagnose", "diagnose",
+                               R"("message": "m", "overrides": {"ghost_rate": 2})",
+                               "ghost_rate"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 TEST(ServerTest, DiagnoseCountsItsExploresAndHonoursTheStateBudget) {
   Server server(deterministic_options());
   const std::string request = "{\"op\": \"diagnose\", \"architecture\": \"" +
@@ -322,6 +371,117 @@ TEST(ServerTest, DiagnoseCountsItsExploresAndHonoursTheStateBudget) {
   EXPECT_FALSE(budgeted.bool_or("ok", true));
   EXPECT_EQ(budgeted.find("error")->string_or("code", ""), "state_budget_exceeded")
       << budgeted.dump();
+}
+
+TEST(ServerTest, DiagnoseSharesThePairSessionWithCheck) {
+  Server server(deterministic_options());
+  const JsonValue checked = handle(server, cached_op_line("check", "c1"));
+  ASSERT_TRUE(checked.bool_or("ok", false)) << checked.dump();
+  EXPECT_EQ(checked.find("metrics")->int_or("explores", -1), 1);
+
+  // The check explored the base model: diagnose hits that session and only
+  // explores its two perturbed values per rate constant.
+  const JsonValue diagnosed = handle(server, cached_op_line("diagnose", "d1"));
+  ASSERT_TRUE(diagnosed.bool_or("ok", false)) << diagnosed.dump();
+  EXPECT_EQ(diagnosed.find("metrics")->string_or("session_cache", ""), "hit");
+  const size_t constants = diagnosed.find("result")->find("criticality")->size();
+  ASSERT_GT(constants, 0u);
+  EXPECT_EQ(diagnosed.find("metrics")->int_or("explores", -1),
+            static_cast<int64_t>(2 * constants));
+
+  // Diagnose left the base stages cached.
+  const JsonValue again = handle(server, cached_op_line("check", "c2"));
+  EXPECT_EQ(again.find("metrics")->string_or("session_cache", ""), "hit");
+  EXPECT_EQ(again.find("metrics")->int_or("explores", -1), 0);
+  EXPECT_EQ(again.find("result")->dump(), checked.find("result")->dump());
+  EXPECT_EQ(server.cache_stats().entries, 1u);
+}
+
+TEST(ServerTest, DiagnoseFitsTheMemoryBudgetOfOneStageSet) {
+  // A diagnose explores two perturbed models per rate constant; each is
+  // dropped and its charge handed back once read, so a budget that fits one
+  // pair check fits the diagnose of that pair too.
+  Server server(deterministic_options());
+  const std::string budget = ", \"nmax\": 2, \"max_memory_mb\": 1";
+  const JsonValue checked = handle(server, cached_op_line("check", "c1", budget));
+  ASSERT_TRUE(checked.bool_or("ok", false)) << checked.dump();
+  const JsonValue diagnosed = handle(server, cached_op_line("diagnose", "d1", budget));
+  EXPECT_TRUE(diagnosed.bool_or("ok", false)) << diagnosed.dump();
+}
+
+TEST(ServerTest, DiagnoseKeepsASweepsCachedValues) {
+  Server server(deterministic_options());
+  const std::string sweep_line =
+      "{\"id\": \"s\", \"op\": \"sweep\", \"architecture\": \"" + arch_path() +
+      "\", \"message\": \"m\", \"constant\": \"phi_gw\", \"values\": [2, 8]}";
+  const JsonValue swept = handle(server, sweep_line);
+  ASSERT_TRUE(swept.bool_or("ok", false)) << swept.dump();
+  const JsonValue diagnosed = handle(server, cached_op_line("diagnose", "d1"));
+  ASSERT_TRUE(diagnosed.bool_or("ok", false)) << diagnosed.dump();
+  const JsonValue again = handle(server, sweep_line);
+  EXPECT_EQ(again.find("metrics")->int_or("explores", -1), 0);
+  EXPECT_EQ(again.find("result")->dump(), swept.find("result")->dump());
+}
+
+TEST(ServerTest, ServedDiagnosisMatchesTheLibraryBitExactly) {
+  Server server(deterministic_options());
+  const JsonValue response = handle(server, cached_op_line("diagnose", "d1"));
+  ASSERT_TRUE(response.bool_or("ok", false)) << response.dump();
+  const JsonValue& result = *response.find("result");
+
+  const automotive::Architecture arch = automotive::load_architecture_file(arch_path());
+  automotive::AnalysisOptions options;
+  options.nmax = 1;
+  const automotive::BatchSession pair = automotive::make_pair_session(
+      arch, "m", automotive::SecurityCategory::kConfidentiality, options);
+  const automotive::Diagnosis expected = automotive::diagnose(*pair.session, arch, 1.0);
+
+  const JsonValue& criticality = *result.find("criticality");
+  ASSERT_EQ(criticality.size(), expected.criticality.size());
+  for (size_t i = 0; i < criticality.size(); ++i) {
+    EXPECT_EQ(criticality.at(i).string_or("constant", ""),
+              expected.criticality[i].constant);
+    EXPECT_EQ(criticality.at(i).number_or("elasticity", -1.0),
+              expected.criticality[i].elasticity);
+  }
+  EXPECT_EQ(result.find("first_breach")->number_or("total_breach_probability", -1.0),
+            expected.first_breach.total_breach_probability);
+  const JsonValue& quantiles = *result.find("breach_time_quantiles");
+  ASSERT_EQ(quantiles.size(), automotive::kBreachQuantileLevels.size());
+  for (size_t i = 0; i < quantiles.size(); ++i) {
+    EXPECT_EQ(quantiles.at(i).number_or("quantile", -1.0),
+              automotive::kBreachQuantileLevels[i]);
+    EXPECT_EQ(quantiles.at(i).number_or("years", -1.0), expected.quantile_years[i]);
+  }
+}
+
+TEST(ServerTest, AnalyzeWithMessageEtaOverrideMatchesPerPairModels) {
+  // The single-model "eta_msg" expands to the batch model's per-pair
+  // constant: one explore, the per-pair model's numbers.
+  Server server(deterministic_options());
+  const std::string path = source_path("examples/telematics_adversary.arch");
+  const JsonValue response = handle(
+      server, "{\"op\": \"analyze\", \"architecture\": \"" + path +
+                  "\", \"messages\": [\"brake_cmd\"], \"categories\": [\"integrity\"], "
+                  "\"nmax\": 1, \"overrides\": {\"eta_msg\": 0.5}}");
+  ASSERT_TRUE(response.bool_or("ok", false)) << response.dump();
+  EXPECT_EQ(response.find("metrics")->int_or("explores", -1), 1);
+
+  automotive::AnalysisOptions options;
+  options.nmax = 1;
+  options.constant_overrides = {{"eta_msg", symbolic::Value::of(0.5)}};
+  const automotive::AnalysisResult expected = automotive::analyze_message(
+      automotive::load_architecture_file(path), "brake_cmd",
+      automotive::SecurityCategory::kIntegrity, options);
+  const JsonValue& row = response.find("result")->find("results")->at(0);
+  EXPECT_NEAR(row.number_or("exploitable_fraction", -1.0),
+              expected.exploitable_fraction, 1e-9);
+  EXPECT_NEAR(row.number_or("breach_probability", -1.0), expected.breach_probability,
+              1e-9);
+  EXPECT_NEAR(row.number_or("steady_state_fraction", -1.0),
+              expected.steady_state_fraction, 1e-9);
+  EXPECT_NEAR(row.number_or("mean_time_to_breach", -1.0), expected.mean_time_to_breach,
+              1e-9 * std::max(1.0, expected.mean_time_to_breach));
 }
 
 TEST(ServerTest, UnparsablePropertyIsBadRequestBeforeAnySession) {

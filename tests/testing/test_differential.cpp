@@ -30,7 +30,7 @@ TEST(Differential, AllCheckFamiliesRun) {
   for (const char* family :
        {"oracle.transient", "oracle.steady_state", "oracle.cumulative_reward",
         "oracle.instantaneous_reward", "oracle.bounded_reachability",
-        "oracle.reachability", "oracle.reachability_reward",
+        "oracle.reachability", "oracle.until", "oracle.reachability_reward",
         "oracle.steady_probability", "oracle.steady_reward",
         "solver.blocked_vs_csr",
         "lumping.quotient_vs_full",
